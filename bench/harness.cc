@@ -53,7 +53,11 @@ void EmitTable(const TablePrinter& table, const std::string& stem,
   if (!csv.status().ok()) return;
   csv.WriteRow(headers);
   for (const auto& row : rows) csv.WriteRow(row);
-  csv.Close();
+  const Status closed = csv.Close();
+  if (!closed.ok()) {
+    std::cerr << "warning: bench_results/" << stem
+              << ".csv not written: " << closed.ToString() << std::endl;
+  }
 }
 
 FigureTable::FigureTable(std::string title, std::string csv_stem,

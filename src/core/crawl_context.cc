@@ -44,38 +44,6 @@ size_t CrawlContext::RoundSize(size_t frontier_width) {
   return std::clamp<size_t>(frontier_width, 1, cap);
 }
 
-CrawlContext::Outcome CrawlContext::Issue(const Query& query,
-                                          Response* response) {
-  HDC_CHECK(response != nullptr);
-  if (stopped_) return Outcome::kStop;
-  if (run_queries_ >= options_.max_queries) {
-    stopped_ = true;
-    return Outcome::kStop;
-  }
-  if ((options_.oracle != nullptr &&
-       !options_.oracle->MayContainTuples(query)) ||
-      (options_.plan != nullptr &&
-       !options_.plan->MayContainTuples(query))) {
-    response->tuples.clear();
-    response->overflow = false;
-    return Outcome::kPrunedEmpty;
-  }
-
-  Status s = server_->Issue(query, response);
-  if (!s.ok()) {
-    // Quota exhausted, connection dropped, server outage: stop cleanly.
-    // The caller re-pushes its work item, so the crawl resumes exactly
-    // where it was interrupted (wrap flaky servers in RetryingServer to
-    // absorb transient failures instead).
-    interrupt_ = std::move(s);
-    stopped_ = true;
-    return Outcome::kStop;
-  }
-
-  RecordAnswered(*response);
-  return response->overflow ? Outcome::kOverflow : Outcome::kResolved;
-}
-
 void CrawlContext::RecordAnswered(const Response& response) {
   ++run_queries_;
   ++state_->queries_issued;
@@ -100,9 +68,9 @@ std::vector<CrawlContext::Outcome> CrawlContext::IssueBatch(
   std::vector<Outcome> outcomes(n, Outcome::kStop);
   responses->assign(n, Response{});
 
-  // Plan: apply budget and oracle member by member, exactly as sequential
-  // Issue() calls would — planned members count against the budget check of
-  // every later member, pruned members cost nothing.
+  // Plan: apply budget and oracle member by member — planned members count
+  // against the budget check of every later member, pruned members cost
+  // nothing.
   std::vector<size_t> to_issue;
   to_issue.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -164,7 +132,10 @@ std::vector<CrawlContext::Outcome> CrawlContext::IssueBatch(
                                            : Outcome::kResolved;
   }
   if (!s.ok()) {
-    // Members past the failure stay kStop; the caller re-pushes them.
+    // Quota exhausted, connection dropped, server outage: stop cleanly.
+    // Members past the failure stay kStop; the caller re-pushes them, so
+    // the crawl resumes exactly where it was interrupted (wrap flaky
+    // servers in RetryingServer to absorb transient failures instead).
     interrupt_ = std::move(s);
     stopped_ = true;
   }

@@ -16,7 +16,7 @@ namespace hdc {
 class Clock;
 
 /// Binds a crawl run together: the server, the mutable state and the run
-/// options. All queries flow through Issue(), which enforces the budget,
+/// options. All queries flow through IssueBatch(), which enforces the budget,
 /// consults the dependency oracle, updates the seen-rows metric and the
 /// trace. All collection flows through the Collect* methods, which append to
 /// the extraction; callers are responsible for only collecting bags of
@@ -34,19 +34,14 @@ class CrawlContext {
     kStop,         // budget/server interruption or fatal; re-push work, stop
   };
 
-  /// Issues `query` unless the budget is exhausted or the oracle prunes it.
-  /// Any server failure (quota, outage) yields kStop: the caller re-pushes
-  /// its work item and the crawl stays resumable — only SetFatal (e.g.
-  /// Unsolvable) ends a crawl for good.
-  Outcome Issue(const Query& query, Response* response);
-
-  /// Batched variant: issues the *independent* members of `queries` through
-  /// one HiddenDbServer::IssueBatch call and returns one Outcome per member,
-  /// in order. Budget and oracle are applied per member exactly as repeated
-  /// Issue() calls would: pruned members cost nothing, members past the
-  /// budget boundary (or past a server failure) come back kStop and must be
-  /// re-pushed by the caller. Trace entries and seen-row accounting are
-  /// appended in issue order. A one-element batch is exactly Issue().
+  /// Issues the *independent* members of `queries` through one
+  /// HiddenDbServer::IssueBatch call and returns one Outcome per member, in
+  /// order. Budget and oracle are applied member by member: pruned
+  /// members cost nothing, members past the budget boundary (or past a
+  /// server failure) come back kStop and must be re-pushed by the caller —
+  /// any server failure (quota, outage) stops the run but leaves it
+  /// resumable; only SetFatal (e.g. Unsolvable) ends a crawl for good.
+  /// Trace entries and seen-row accounting are appended in issue order.
   std::vector<Outcome> IssueBatch(const std::vector<Query>& queries,
                                   std::vector<Response>* responses);
 

@@ -34,21 +34,6 @@ constexpr uint64_t kFrozenVersion = 0;
 
 }  // namespace
 
-Status ServerSession::Core::Issue(const Query& query, Response* response) {
-  AnswerCache* cache = session_->service_->answer_cache();
-  if (cache != nullptr &&
-      cache->Probe(query, kFrozenVersion, response, nullptr) ==
-          AnswerCache::ProbeResult::kHit) {
-    session_->Fold(StatsFor(*response));
-    return Status::OK();
-  }
-  QueryStats stats;
-  session_->index_->AnswerQuery(query, response, &session_->scratch_, &stats);
-  session_->Fold(stats);
-  if (cache != nullptr) cache->StoreMiss(query, *response, kFrozenVersion);
-  return Status::OK();
-}
-
 Status ServerSession::Core::IssueBatch(const std::vector<Query>& queries,
                                        std::vector<Response>* responses) {
   HDC_CHECK(responses != nullptr);
@@ -105,50 +90,47 @@ ServerSession::ServerSession(CrawlService* service, uint64_t id,
   // Compose the metering stack bottom-up. Order (bottom to top): evaluation
   // core, observer, audit log, trace, budget, schema override — so a
   // budget-refused query is neither logged nor traced (it never happened),
-  // matching the sequential BudgetServer(QueryLogServer(LocalServer))
-  // conversation.
-  std::unique_ptr<HiddenDbServer> stack = std::make_unique<Core>(this);
+  // matching the BudgetServer(QueryLogServer(LocalServer)) conversation.
+  // Each new layer wraps the current top.
+  auto push = [this](auto layer) {
+    auto* raw = layer.get();
+    layers_.push_back(std::move(layer));
+    return raw;
+  };
+  auto top = [this] { return layers_.back().get(); };
+  push(std::make_unique<Core>(this));
   if (options.observer) {
-    stack = std::make_unique<ObservedServer>(std::move(stack),
-                                             std::move(options.observer));
+    push(std::make_unique<ObservedServer>(top(), std::move(options.observer)));
   }
   if (options.query_log != nullptr) {
-    auto log =
-        std::make_unique<QueryLogServer>(std::move(stack), options.query_log);
-    log_ = log.get();
-    stack = std::move(log);
+    log_ = push(std::make_unique<QueryLogServer>(top(), options.query_log));
   }
   if (options.keep_trace) {
-    auto counting =
-        std::make_unique<CountingServer>(std::move(stack), /*keep_trace=*/true);
-    counting_ = counting.get();
-    stack = std::move(counting);
+    counting_ =
+        push(std::make_unique<CountingServer>(top(), /*keep_trace=*/true));
   }
   if (options.max_queries != kUnlimitedQueries) {
-    auto budget =
-        std::make_unique<BudgetServer>(std::move(stack), options.max_queries);
-    budget_ = budget.get();
-    stack = std::move(budget);
+    budget_ = push(std::make_unique<BudgetServer>(top(), options.max_queries));
   }
   if (options.schema_override != nullptr) {
-    stack = std::make_unique<SchemaOverrideServer>(
-        std::move(stack), std::move(options.schema_override));
+    push(std::make_unique<SchemaOverrideServer>(
+        top(), std::move(options.schema_override)));
   }
-  top_ = std::move(stack);
 }
 
-ServerSession::~ServerSession() { service_->Retire(this); }
-
-Status ServerSession::Issue(const Query& query, Response* response) {
-  return top_->Issue(query, response);
+ServerSession::~ServerSession() {
+  service_->Retire(this);
+  while (!layers_.empty()) layers_.pop_back();  // top-down
 }
 
 Status ServerSession::IssueBatch(const std::vector<Query>& queries,
                                  std::vector<Response>* responses) {
-  return top_->IssueBatch(queries, responses);
+  return layers_.back()->IssueBatch(queries, responses);
 }
 
-const SchemaPtr& ServerSession::schema() const { return top_->schema(); }
+const SchemaPtr& ServerSession::schema() const {
+  return layers_.back()->schema();
+}
 
 void ServerSession::RefillBudget(uint64_t max_queries) {
   HDC_CHECK_MSG(budget_ != nullptr,

@@ -187,7 +187,6 @@ class ServerSession : public HiddenDbServer {
   ServerSession(const ServerSession&) = delete;
   ServerSession& operator=(const ServerSession&) = delete;
 
-  Status Issue(const Query& query, Response* response) override;
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override;
   uint64_t k() const override { return index_->k(); }
@@ -270,7 +269,6 @@ class ServerSession : public HiddenDbServer {
   class Core : public HiddenDbServer {
    public:
     explicit Core(ServerSession* session) : session_(session) {}
-    Status Issue(const Query& query, Response* response) override;
     Status IssueBatch(const std::vector<Query>& queries,
                       std::vector<Response>* responses) override;
     uint64_t k() const override { return session_->index_->k(); }
@@ -305,14 +303,14 @@ class ServerSession : public HiddenDbServer {
   unsigned max_lane_parallelism_;
 
   /// The session's metering stack, bottom (Core) to top, composed from
-  /// SessionOptions at creation; `top_` is the entry point, the raw
-  /// pointers below alias layers inside the owned chain.
-  std::unique_ptr<HiddenDbServer> top_;
+  /// SessionOptions at creation: each layer wraps the one below it, the
+  /// last is the entry point, and ~ServerSession destroys them top-down.
+  /// The raw pointers below alias layers inside the vector.
+  std::vector<std::unique_ptr<HiddenDbServer>> layers_;
   BudgetServer* budget_ = nullptr;
   CountingServer* counting_ = nullptr;
   QueryLogServer* log_ = nullptr;
 
-  EvalScratch scratch_;
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> tuples_returned_{0};
   std::atomic<uint64_t> overflow_count_{0};

@@ -5,33 +5,26 @@
 //   BudgetServer( CountingServer( LocalServer ) )
 // so it can be metered and interrupted.
 //
-// Two composition styles share the same classes:
+// One composition style: each wrapper takes a HiddenDbServer* it does not
+// own, and whoever composes the stack keeps every layer alive — usually on
+// the stack around one crawl. A stack that must travel as one object owns
+// its layers itself: ServerSession (server/crawl_service.h) keeps its
+// per-session metering layers in a vector, wires each over the one below,
+// and destroys them top-down.
 //
-//  - *Borrowed* (the classic shape): each wrapper takes a HiddenDbServer*
-//    it does not own; the caller keeps every layer alive, usually on the
-//    stack around one crawl.
-//  - *Owned* (the session shape): each wrapper takes a
-//    std::unique_ptr<HiddenDbServer> and owns its base, so a whole metering
-//    stack — budget, audit log, trace — can be composed once at
-//    session-creation time and handed around as a single object. This is
-//    how CrawlService (server/crawl_service.h) builds the per-session
-//    stack over its shared index; the metering state is per session, never
-//    a wrapper around a process-wide singleton.
-//
-// Every decorator implements both entry points of the HiddenDbServer
-// contract. IssueBatch keeps the prefix semantics documented in
+// Every decorator implements the one HiddenDbServer entry point,
+// IssueBatch, and keeps the prefix semantics documented in
 // server/server.h: the wrapper answers (or forwards) an in-order prefix of
 // the batch, and the first member that fails — a budget boundary, an
 // injected connection drop, an exhausted retry allowance — truncates the
-// batch there with that member's status. A one-element batch always behaves
-// exactly like Issue on the same wrapper.
+// batch there with that member's status. Issue is a one-element batch on
+// every wrapper alike.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -42,22 +35,14 @@
 
 namespace hdc {
 
-/// Base decorator: forwards everything to the wrapped server. The borrowed
-/// form does not own its base (the caller keeps it alive); the owned form
-/// keeps the base alive itself.
+/// Base decorator: forwards everything to the wrapped server, which it does
+/// not own (the caller keeps it alive).
 class ServerDecorator : public HiddenDbServer {
  public:
   explicit ServerDecorator(HiddenDbServer* base) : base_(base) {
     HDC_CHECK(base != nullptr);
   }
-  explicit ServerDecorator(std::unique_ptr<HiddenDbServer> base)
-      : base_(base.get()), owned_(std::move(base)) {
-    HDC_CHECK(base_ != nullptr);
-  }
 
-  Status Issue(const Query& query, Response* response) override {
-    return base_->Issue(query, response);
-  }
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
     return base_->IssueBatch(queries, responses);
@@ -72,9 +57,6 @@ class ServerDecorator : public HiddenDbServer {
 
  protected:
   HiddenDbServer* base_;
-
- private:
-  std::unique_ptr<HiddenDbServer> owned_;
 };
 
 /// Compact per-query record kept by CountingServer when tracing is on.
@@ -96,15 +78,6 @@ class CountingServer : public ServerDecorator {
  public:
   explicit CountingServer(HiddenDbServer* base, bool keep_trace = false)
       : ServerDecorator(base), keep_trace_(keep_trace) {}
-  explicit CountingServer(std::unique_ptr<HiddenDbServer> base,
-                          bool keep_trace = false)
-      : ServerDecorator(std::move(base)), keep_trace_(keep_trace) {}
-
-  Status Issue(const Query& query, Response* response) override {
-    Status s = base_->Issue(query, response);
-    if (s.ok()) Record(*response);
-    return s;
-  }
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
@@ -149,17 +122,6 @@ class BudgetServer : public ServerDecorator {
  public:
   BudgetServer(HiddenDbServer* base, uint64_t max_queries)
       : ServerDecorator(base), remaining_(max_queries) {}
-  BudgetServer(std::unique_ptr<HiddenDbServer> base, uint64_t max_queries)
-      : ServerDecorator(std::move(base)), remaining_(max_queries) {}
-
-  Status Issue(const Query& query, Response* response) override {
-    if (remaining() == 0) {
-      return Status::ResourceExhausted("query budget exhausted");
-    }
-    Status s = base_->Issue(query, response);
-    if (s.ok()) Spend(1);
-    return s;
-  }
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
@@ -217,82 +179,58 @@ class SchemaOverrideServer : public ServerDecorator {
  public:
   SchemaOverrideServer(HiddenDbServer* base, SchemaPtr schema)
       : ServerDecorator(base), schema_(std::move(schema)) {
-    CheckCompatible();
-  }
-  SchemaOverrideServer(std::unique_ptr<HiddenDbServer> base, SchemaPtr schema)
-      : ServerDecorator(std::move(base)), schema_(std::move(schema)) {
-    CheckCompatible();
-  }
-
-  const SchemaPtr& schema() const override { return schema_; }
-
- private:
-  void CheckCompatible() const {
     HDC_CHECK_MSG(schema_ != nullptr &&
                       schema_->CompatibleWith(*base_->schema()),
                   "override schema must be structurally compatible");
   }
 
+  const SchemaPtr& schema() const override { return schema_; }
+
+ private:
   SchemaPtr schema_;
 };
 
-/// Failure injection: deterministically fails every `period`-th Issue with
-/// an Internal error *before* reaching the wrapped server — a dropped
+/// Failure injection: deterministically fails every `period`-th attempt
+/// with an Internal error *before* reaching the wrapped server — a dropped
 /// connection, which consumes no quota. period = 0 never fails.
 ///
 /// Batch members count as individual attempts, in order. The member that
 /// trips the period fails the batch there: the preceding members are
 /// forwarded (as one sub-batch) and answered, the failing member and
-/// everything after it never reach the base — exactly the sequence of
-/// outcomes `period`-spaced sequential Issues would produce.
+/// everything after it never reach the base. A batch whose first member
+/// trips never reaches the base at all.
 class FlakyServer : public ServerDecorator {
  public:
   FlakyServer(HiddenDbServer* base, uint64_t period)
       : ServerDecorator(base), period_(period) {}
-  FlakyServer(std::unique_ptr<HiddenDbServer> base, uint64_t period)
-      : ServerDecorator(std::move(base)), period_(period) {}
-
-  Status Issue(const Query& query, Response* response) override {
-    ++attempts_;
-    if (period_ > 0 && attempts_ % period_ == 0) {
-      ++failures_;
-      return Status::Internal("simulated connection failure");
-    }
-    return base_->Issue(query, response);
-  }
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
-    // Simulate the sequential attempt counter to find the member (if any)
-    // that would trip the failure period.
+    // Members before `clean` are clean attempts; member `clean` (if any)
+    // is the attempt that trips the failure period.
     size_t clean = queries.size();
-    bool trips = false;
     if (period_ > 0) {
-      for (size_t i = 0; i < queries.size(); ++i) {
-        if ((attempts_ + i + 1) % period_ == 0) {
-          clean = i;
-          trips = true;
-          break;
-        }
-      }
+      const uint64_t trip = period_ - attempts_ % period_;  // 1-based
+      if (trip <= queries.size()) clean = static_cast<size_t>(trip - 1);
     }
+    responses->clear();
     Status s;
     if (clean == queries.size()) {
       s = base_->IssueBatch(queries, responses);
-    } else {
+    } else if (clean > 0) {
       const std::vector<Query> head(queries.begin(), queries.begin() + clean);
       s = base_->IssueBatch(head, responses);
     }
     // Members the base answered were clean attempts; a base-side failure
-    // means the sequential conversation stopped at the refused member —
-    // which had already reached this layer, so its attempt counts too.
-    // Members past it (and past our trip point) were never attempted.
+    // stopped the conversation at the refused member — which had already
+    // reached this layer, so its attempt counts too. Members past it (and
+    // past our trip point) were never attempted.
     attempts_ += responses->size();
     if (!s.ok()) {
       ++attempts_;  // the refused member's own attempt
       return s;
     }
-    if (trips) {
+    if (clean < queries.size()) {
       ++attempts_;  // the tripping member's own attempt
       ++failures_;
       return Status::Internal("simulated connection failure");
@@ -328,25 +266,6 @@ class RetryingServer : public ServerDecorator {
                  bool keep_attempts_trace = false)
       : ServerDecorator(base), max_retries_(max_retries),
         keep_attempts_trace_(keep_attempts_trace) {}
-  RetryingServer(std::unique_ptr<HiddenDbServer> base, uint64_t max_retries,
-                 bool keep_attempts_trace = false)
-      : ServerDecorator(std::move(base)), max_retries_(max_retries),
-        keep_attempts_trace_(keep_attempts_trace) {}
-
-  Status Issue(const Query& query, Response* response) override {
-    Status s = base_->Issue(query, response);
-    uint64_t attempts = 1;
-    while (s.IsTransient() && attempts <= max_retries_) {
-      ++attempts;
-      ++retries_performed_;
-      s = base_->Issue(query, response);
-    }
-    last_attempts_ = attempts;
-    if (s.ok() && keep_attempts_trace_) {
-      attempts_trace_.push_back(static_cast<uint32_t>(attempts));
-    }
-    return s;
-  }
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
@@ -414,14 +333,6 @@ class ObservedServer : public ServerDecorator {
 
   ObservedServer(HiddenDbServer* base, Callback callback)
       : ServerDecorator(base), callback_(std::move(callback)) {}
-  ObservedServer(std::unique_ptr<HiddenDbServer> base, Callback callback)
-      : ServerDecorator(std::move(base)), callback_(std::move(callback)) {}
-
-  Status Issue(const Query& query, Response* response) override {
-    Status s = base_->Issue(query, response);
-    if (s.ok() && callback_) callback_(query, *response);
-    return s;
-  }
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
@@ -450,16 +361,6 @@ class QueryLogServer : public ServerDecorator {
   QueryLogServer(HiddenDbServer* base, std::ostream* out)
       : ServerDecorator(base), out_(out) {
     HDC_CHECK(out != nullptr);
-  }
-  QueryLogServer(std::unique_ptr<HiddenDbServer> base, std::ostream* out)
-      : ServerDecorator(std::move(base)), out_(out) {
-    HDC_CHECK(out != nullptr);
-  }
-
-  Status Issue(const Query& query, Response* response) override {
-    Status s = base_->Issue(query, response);
-    if (s.ok()) Log(query, *response);
-    return s;
   }
 
   Status IssueBatch(const std::vector<Query>& queries,

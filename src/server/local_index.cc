@@ -951,6 +951,20 @@ void LocalIndex::AnswerQuery(const Query& query, Response* response,
   stats->tuples += response->tuples.size();
 }
 
+namespace {
+
+/// The calling thread's evaluation scratch, shared by every EvaluateBatch
+/// on that thread — serial or pooled, whichever index it serves — so
+/// allocations amortise across members and batches. The range-driver
+/// bitmap grows to the largest index the thread has served and ages
+/// blocks by epoch, so one scratch serves indexes of any size.
+EvalScratch& ThreadScratch() {
+  static thread_local EvalScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
 void EvaluateBatch(const LocalIndex& index, WorkerPool* pool,
                    const std::vector<Query>& queries,
                    std::vector<Response>* responses, QueryStats* stats,
@@ -960,20 +974,20 @@ void EvaluateBatch(const LocalIndex& index, WorkerPool* pool,
   const size_t n = queries.size();
   responses->assign(n, Response{});
   if (pool == nullptr || pool->threads() == 0 || n <= 1) {
-    EvalScratch scratch;
+    EvalScratch& scratch = ThreadScratch();
     for (size_t i = 0; i < n; ++i) {
       index.AnswerQuery(queries[i], &(*responses)[i], &scratch, stats);
     }
+    scratch.TrimAfterBatch();
     return;
   }
 
   // Per-member stat slots keep the workers write-disjoint; the per-thread
-  // scratch amortises allocations across members and batches, and is
-  // trimmed after every member so one oversized round cannot pin
-  // peak-size buffers on a pool thread for the rest of the process.
+  // scratch is trimmed after every member so one oversized round cannot
+  // pin peak-size buffers on a pool thread for the rest of the process.
   std::vector<QueryStats> deltas(n);
   pool->ParallelFor(lane, n, [&](size_t i) {
-    static thread_local EvalScratch scratch;
+    EvalScratch& scratch = ThreadScratch();
     index.AnswerQuery(queries[i], &(*responses)[i], &scratch, &deltas[i]);
     scratch.TrimAfterBatch();
   });

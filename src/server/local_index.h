@@ -117,9 +117,10 @@ struct EvalScratch {
   static constexpr size_t kRetainIds = size_t{1} << 16;
 
   /// Shrinks oversized buffers back to the retention cap. Called by
-  /// EvaluateBatch after each pooled member so an overflow-heavy round
-  /// cannot pin peak-size scratch on every worker thread forever.
-  /// (range_words/block_epoch are bounded by the dataset size and kept.)
+  /// EvaluateBatch after each pooled member and after each serial batch so
+  /// an overflow-heavy round cannot pin peak-size scratch on a thread
+  /// forever. (range_words/block_epoch are bounded by the largest dataset
+  /// the scratch has served and kept.)
   void TrimAfterBatch() {
     if (ids.capacity() > kRetainIds) {
       ids.clear();

@@ -65,10 +65,11 @@ class MutatingLocalServer : public HiddenDbServer {
   MutatingLocalServer(std::shared_ptr<const Dataset> initial, uint64_t k,
                       uint64_t priority_seed = 7);
 
-  Status Issue(const Query& query, Response* response) override;
-  // IssueBatch: inherited sequential fallback — member-by-member, so a
-  // scheduled burst firing mid-batch behaves exactly as in the sequential
-  // conversation.
+  /// Answers member by member, firing due bursts before each one, so a
+  /// scheduled burst whose trigger falls mid-batch lands between the same
+  /// two members as in the one-query-per-call conversation.
+  Status IssueBatch(const std::vector<Query>& queries,
+                    std::vector<Response>* responses) override;
 
   uint64_t k() const override { return k_; }
   const SchemaPtr& schema() const override { return schema_; }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/schema.h"
@@ -53,27 +54,23 @@ struct ServerLoadHint {
 /// LocalServer (in-memory evaluation, the paper's Section 6 methodology) and
 /// the decorators in server/decorators.h (counting, budgets, tracing).
 ///
-/// Two entry points share one cost model (the paper counts queries, not
-/// round-trips): Issue() runs a single query, IssueBatch() submits several
-/// *independent* queries in one call so an implementation may pipeline or
-/// parallelize them. Callers must not call either concurrently on the same
-/// server object; IssueBatch members may be evaluated concurrently *inside*
-/// an implementation (e.g. LocalServer's worker pool).
+/// IssueBatch() is the only entry point an implementation provides: it
+/// submits several *independent* queries in one call so an implementation
+/// may pipeline or parallelize them. Issue() is its one-element form. Both
+/// share one cost model (the paper counts queries, not round-trips).
+/// Callers must not call either concurrently on the same server object;
+/// IssueBatch members may be evaluated concurrently *inside* an
+/// implementation (e.g. LocalServer's worker pool).
 class HiddenDbServer {
  public:
   virtual ~HiddenDbServer() = default;
 
-  /// Executes `query`. Returns non-OK only for environmental reasons (e.g.
-  /// a BudgetServer's budget is exhausted) — never because of the data.
-  virtual Status Issue(const Query& query, Response* response) = 0;
-
-  /// Executes the members of `queries` in order, as if by repeated Issue()
-  /// calls. The batched contract:
+  /// Executes the members of `queries` in order. The batched contract:
   ///
   ///  - *Ordering.* `responses` is parallel to `queries`: responses[i]
   ///    answers queries[i]. Implementations may evaluate members in any
   ///    order (or concurrently) but must produce the same responses the
-  ///    sequential conversation would.
+  ///    member-by-member conversation would.
   ///  - *Partial failure (prefix semantics).* On return, `responses` holds
   ///    the longest prefix of answered members: responses->size() == m with
   ///    m <= queries.size(). The call returns OK iff m == queries.size();
@@ -83,22 +80,22 @@ class HiddenDbServer {
   ///  - *Budget truncation.* A metering wrapper (BudgetServer) answers as
   ///    many members as its budget allows, then fails the batch with
   ///    ResourceExhausted; the answered prefix is still valid and paid-for.
-  ///  - *Equivalence.* A one-element batch is exactly Issue(): same
-  ///    responses, same side effects, same failure behaviour.
   ///
-  /// The default implementation is the sequential fallback: Issue() per
-  /// member, stopping at the first failure.
+  /// Returns non-OK only for environmental reasons (e.g. a BudgetServer's
+  /// budget is exhausted) — never because of the data.
   virtual Status IssueBatch(const std::vector<Query>& queries,
-                            std::vector<Response>* responses) {
-    responses->clear();
-    responses->reserve(queries.size());
-    for (const Query& query : queries) {
-      Response response;
-      Status s = Issue(query, &response);
-      if (!s.ok()) return s;
-      responses->push_back(std::move(response));
-    }
-    return Status::OK();
+                            std::vector<Response>* responses) = 0;
+
+  /// Executes `query`: exactly a one-element IssueBatch — same response,
+  /// same side effects, same failure behaviour. Not an extension point:
+  /// implementations override IssueBatch only (hdc_lint's issue-override
+  /// rule holds src/ to that). It stays virtual only while the whole-crawl
+  /// benchmark's TimedServer (perfbench/src/timed_server.h) overrides it.
+  virtual Status Issue(const Query& query, Response* response) {
+    std::vector<Response> responses;
+    Status s = IssueBatch({query}, &responses);
+    if (s.ok()) *response = std::move(responses[0]);
+    return s;
   }
 
   /// The server's result-size limit k (e.g. 1000 for Yahoo! Autos).

@@ -125,15 +125,6 @@ std::unique_ptr<ShardedServer> ShardedServer::OverPlan(
                                          options);
 }
 
-Status ShardedServer::Issue(const Query& query, Response* response) {
-  HDC_CHECK(response != nullptr);
-  std::vector<Response> responses;
-  Status s = IssueBatch({query}, &responses);
-  if (!s.ok()) return s;
-  *response = std::move(responses[0]);
-  return Status::OK();
-}
-
 Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
                                  std::vector<Response>* responses) {
   HDC_CHECK(responses != nullptr);

@@ -186,7 +186,6 @@ class ShardedServer : public HiddenDbServer {
       const ShardPlan& plan, IndexEngine engine = IndexEngine::kBitmap,
       ShardedServerOptions options = {});
 
-  Status Issue(const Query& query, Response* response) override;
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override;
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/crawl_sink.h"
@@ -34,16 +35,26 @@ class ContextFixture : public ::testing::Test {
   std::shared_ptr<RankShrinkState> state_;
 };
 
+/// One query through CrawlContext::IssueBatch, as a one-element batch.
+CrawlContext::Outcome IssueOne(CrawlContext* ctx, const Query& query,
+                               Response* response) {
+  std::vector<Response> responses;
+  const std::vector<CrawlContext::Outcome> outcomes =
+      ctx->IssueBatch({query}, &responses);
+  *response = std::move(responses[0]);
+  return outcomes[0];
+}
+
 TEST_F(ContextFixture, BudgetBoundaryIsExact) {
   CrawlOptions options;
   options.max_queries = 2;
   CrawlContext ctx(server_.get(), state_.get(), options);
   Response r;
-  EXPECT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kOverflow);
-  EXPECT_EQ(ctx.Issue(Full().WithNumericRange(0, 0, 10), &r),
+  EXPECT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kOverflow);
+  EXPECT_EQ(IssueOne(&ctx, Full().WithNumericRange(0, 0, 10), &r),
             CrawlContext::Outcome::kResolved);
   // Third issue must be refused without touching the server.
-  EXPECT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kStop);
+  EXPECT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kStop);
   EXPECT_TRUE(ctx.stopped());
   EXPECT_EQ(server_->queries_served(), 2u);
   EXPECT_EQ(ctx.run_queries(), 2u);
@@ -56,7 +67,7 @@ TEST_F(ContextFixture, OraclePruningCostsNothing) {
   options.oracle = &deny_all;
   CrawlContext ctx(server_.get(), state_.get(), options);
   Response r;
-  EXPECT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kPrunedEmpty);
+  EXPECT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kPrunedEmpty);
   EXPECT_TRUE(r.resolved());
   EXPECT_EQ(r.size(), 0u);
   EXPECT_EQ(server_->queries_served(), 0u);
@@ -67,11 +78,11 @@ TEST_F(ContextFixture, OraclePruningCostsNothing) {
 TEST_F(ContextFixture, SeenRowsAccumulateAcrossResponses) {
   CrawlContext ctx(server_.get(), state_.get(), {});
   Response r;
-  ASSERT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kOverflow);
+  ASSERT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kOverflow);
   EXPECT_EQ(state_->seen_rows.size(), 4u);  // k tuples seen
-  ASSERT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kOverflow);
+  ASSERT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kOverflow);
   EXPECT_EQ(state_->seen_rows.size(), 4u);  // same k rows, no growth
-  ASSERT_EQ(ctx.Issue(Full().WithNumericRange(0, 0, 10), &r),
+  ASSERT_EQ(IssueOne(&ctx, Full().WithNumericRange(0, 0, 10), &r),
             CrawlContext::Outcome::kResolved);
   EXPECT_GE(state_->seen_rows.size(), 4u);
 }
@@ -79,7 +90,7 @@ TEST_F(ContextFixture, SeenRowsAccumulateAcrossResponses) {
 TEST_F(ContextFixture, CollectResponseAppendsWholeBag) {
   CrawlContext ctx(server_.get(), state_.get(), {});
   Response r;
-  ASSERT_EQ(ctx.Issue(Full().WithNumericRange(0, 0, 10), &r),
+  ASSERT_EQ(IssueOne(&ctx, Full().WithNumericRange(0, 0, 10), &r),
             CrawlContext::Outcome::kResolved);
   ctx.CollectResponse(r);
   EXPECT_EQ(state_->extracted.size(), 3u);  // values 0, 5, 10
@@ -99,7 +110,7 @@ TEST_F(ContextFixture, SetFatalStopsAndSticks) {
   EXPECT_TRUE(ctx.stopped());
   EXPECT_TRUE(state_->fatal.IsUnsolvable());
   Response r;
-  EXPECT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kStop);
+  EXPECT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kStop);
   EXPECT_EQ(server_->queries_served(), 0u);
 
   // A fresh context over the same state starts stopped.
@@ -112,8 +123,8 @@ TEST_F(ContextFixture, TraceRecordsPerQueryEntries) {
   options.record_trace = true;
   CrawlContext ctx(server_.get(), state_.get(), options);
   Response r;
-  ASSERT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kOverflow);
-  ASSERT_EQ(ctx.Issue(Full().WithNumericRange(0, 0, 10), &r),
+  ASSERT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kOverflow);
+  ASSERT_EQ(IssueOne(&ctx, Full().WithNumericRange(0, 0, 10), &r),
             CrawlContext::Outcome::kResolved);
   ctx.CollectResponse(r);
   ASSERT_EQ(state_->trace.size(), 2u);
@@ -131,7 +142,9 @@ TEST_F(ContextFixture, ExternalFailureBecomesInterrupt) {
   class FailingServer : public HiddenDbServer {
    public:
     explicit FailingServer(HiddenDbServer* base) : base_(base) {}
-    Status Issue(const Query&, Response*) override {
+    Status IssueBatch(const std::vector<Query>&,
+                      std::vector<Response>* responses) override {
+      responses->clear();
       return Status::Internal("boom");
     }
     uint64_t k() const override { return base_->k(); }
@@ -144,7 +157,7 @@ TEST_F(ContextFixture, ExternalFailureBecomesInterrupt) {
   FailingServer failing(server_.get());
   CrawlContext ctx(&failing, state_.get(), {});
   Response r;
-  EXPECT_EQ(ctx.Issue(Full(), &r), CrawlContext::Outcome::kStop);
+  EXPECT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kStop);
   EXPECT_TRUE(ctx.stopped());
   EXPECT_EQ(ctx.interrupt().code(), Status::Code::kInternal);
   // Not fatal: the state stays clean for a resume.
@@ -231,7 +244,7 @@ TEST_F(ContextFixture, BatchStopsSuffixOnServerFailure) {
   EXPECT_TRUE(state_->fatal.ok());
 }
 
-TEST_F(ContextFixture, SingleElementBatchMatchesIssue) {
+TEST_F(ContextFixture, SingleElementBatchResolves) {
   CrawlContext ctx(server_.get(), state_.get(), {});
   std::vector<Response> batch_responses;
   auto outcomes =
@@ -249,7 +262,7 @@ TEST_F(ContextFixture, TupleSinkFiresOnBothCollectPaths) {
   options.sink = &sink;
   CrawlContext ctx(server_.get(), state_.get(), options);
   Response r;
-  ASSERT_EQ(ctx.Issue(Full().WithNumericRange(0, 0, 10), &r),
+  ASSERT_EQ(IssueOne(&ctx, Full().WithNumericRange(0, 0, 10), &r),
             CrawlContext::Outcome::kResolved);
   ctx.CollectResponse(r);
   EXPECT_EQ(delivered, 3u);

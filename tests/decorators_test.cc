@@ -9,6 +9,7 @@
 
 #include "server/local_server.h"
 #include "server/politeness.h"
+#include "server/sharding.h"
 
 namespace hdc {
 namespace {
@@ -158,7 +159,15 @@ TEST(BudgetServerTest, ExhaustedBudgetRefusesWholeBatch) {
   Status s = budget.IssueBatch(ThreeDisjointRanges(base.schema()),
                                &responses);
   EXPECT_TRUE(s.IsResourceExhausted());
+  EXPECT_EQ(s.message(), "query budget exhausted");
   EXPECT_TRUE(responses.empty());
+  EXPECT_EQ(base.queries_served(), 0u);
+
+  // A single query against a zero budget is the same one-element refusal.
+  Response r;
+  s = budget.Issue(Query::FullSpace(base.schema()), &r);
+  EXPECT_TRUE(s.IsResourceExhausted());
+  EXPECT_EQ(s.message(), "query budget exhausted");
   EXPECT_EQ(base.queries_served(), 0u);
 }
 
@@ -183,6 +192,26 @@ TEST(FlakyServerTest, BatchFailsAtThePeriodicMember) {
             Status::Code::kInternal);
   EXPECT_EQ(responses.size(), 2u);
   EXPECT_EQ(flaky.failures(), 2u);
+
+  // A batch whose first member trips never reaches the base — not even as
+  // an empty batch, which a scatter-gather base would count as a round.
+  ShardPlanOptions plan_options;
+  plan_options.num_shards = 2;
+  const ShardPlan plan =
+      ShardPlan::Partition(TinyData(), 4, nullptr, plan_options);
+  std::unique_ptr<ShardedServer> sharded = ShardedServer::OverPlan(plan);
+  FlakyServer tripping(sharded.get(), /*period=*/3);
+  Response r;
+  ASSERT_TRUE(tripping.Issue(Query::FullSpace(base.schema()), &r).ok());
+  ASSERT_TRUE(tripping.Issue(Query::FullSpace(base.schema()), &r).ok());
+  EXPECT_EQ(sharded->rounds(), 2u);
+  EXPECT_EQ(tripping.IssueBatch(ThreeDisjointRanges(base.schema()),
+                                &responses)
+                .code(),
+            Status::Code::kInternal);
+  EXPECT_TRUE(responses.empty());
+  EXPECT_EQ(tripping.attempts(), 3u);
+  EXPECT_EQ(sharded->rounds(), 2u);
 }
 
 TEST(FlakyServerTest, BatchAttemptAccountingMatchesIssueWhenBaseRefuses) {

@@ -167,6 +167,38 @@ TEST(DeltaCrawlTest, ConvergesWhenMutationLandsMidCrawl) {
   ASSERT_EQ(delta.deleted.size(), 1u);
   EXPECT_EQ(delta.deleted[0].hidden_id, 1u);
   EXPECT_TRUE(delta.updated.empty());
+
+  // A batch straddling a ScheduleAt trigger answers byte-identically to
+  // the one-query-per-call conversation: the burst lands between the same
+  // two members.
+  MutatingLocalServer sequential(TinyData(), 4);
+  MutatingLocalServer batched(TinyData(), 4);
+  sequential.ScheduleAt(2, {Mutation::Insert(Tuple({12}))});
+  batched.ScheduleAt(2, {Mutation::Insert(Tuple({12}))});
+  const std::vector<Query> queries(
+      4, Query::FullSpace(server.schema()).WithNumericRange(0, 0, 12));
+  std::vector<Response> one_by_one(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(sequential.Issue(queries[i], &one_by_one[i]).ok());
+  }
+  std::vector<Response> together;
+  ASSERT_TRUE(batched.IssueBatch(queries, &together).ok());
+  ASSERT_EQ(together.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(HashResponse(together[i]), HashResponse(one_by_one[i]))
+        << "member " << i;
+    EXPECT_EQ(together[i].overflow, one_by_one[i].overflow);
+    ASSERT_EQ(together[i].size(), one_by_one[i].size());
+    for (size_t j = 0; j < together[i].size(); ++j) {
+      EXPECT_EQ(together[i].tuples[j].hidden_id,
+                one_by_one[i].tuples[j].hidden_id);
+    }
+  }
+  // Members 0-1 precede the burst (0, 5, 10); members 2-3 see the insert.
+  EXPECT_EQ(together[1].size(), 3u);
+  EXPECT_EQ(together[2].size(), 4u);
+  EXPECT_EQ(batched.db_version(), sequential.db_version());
+  EXPECT_EQ(batched.queries_served(), sequential.queries_served());
 }
 
 TEST(DeltaCrawlTest, RejectsEmptyOrIncompatiblePrior) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "core/rank_shrink.h"
 #include "core/slice_cover.h"
@@ -20,25 +22,28 @@ namespace {
 
 /// FlakyServer's transport-layer sibling: every `period`-th attempt fails
 /// with kUnavailable *before* reaching the wrapped server, like a dropped
-/// loopback connection. Sequential-only (Issue path) — batch semantics are
-/// covered by the real transport in remote_transport_test.cc.
+/// loopback connection. Forwards member by member so the per-attempt
+/// counting stays exact — batch semantics over a real transport are
+/// covered in remote_transport_test.cc.
 class OutageServer : public ServerDecorator {
  public:
   OutageServer(HiddenDbServer* base, uint64_t period)
       : ServerDecorator(base), period_(period) {}
 
-  Status Issue(const Query& query, Response* response) override {
-    ++attempts_;
-    if (period_ > 0 && attempts_ % period_ == 0) {
-      return Status::Unavailable("simulated transport outage");
-    }
-    return base_->Issue(query, response);
-  }
-
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
-    // Sequential fallback keeps the per-attempt counting exact.
-    return HiddenDbServer::IssueBatch(queries, responses);
+    responses->clear();
+    for (const Query& query : queries) {
+      ++attempts_;
+      if (period_ > 0 && attempts_ % period_ == 0) {
+        return Status::Unavailable("simulated transport outage");
+      }
+      Response response;
+      Status s = base_->Issue(query, &response);
+      if (!s.ok()) return s;
+      responses->push_back(std::move(response));
+    }
+    return Status::OK();
   }
 
   uint64_t attempts() const { return attempts_; }
@@ -88,24 +93,39 @@ TEST(RetryingServerTest, AbsorbsTransientFailures) {
   auto data = NumericData();
   LocalServer base(data, 8);
   FlakyServer flaky(&base, /*period=*/2);  // every 2nd attempt fails
-  RetryingServer retrying(&flaky, /*max_retries=*/3);
+  RetryingServer retrying(&flaky, /*max_retries=*/3,
+                          /*keep_attempts_trace=*/true);
   Response r;
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(retrying.Issue(Query::FullSpace(base.schema()), &r).ok());
   }
   EXPECT_GT(retrying.retries_performed(), 0u);
+  // Attempts 1 (clean), 2 (dropped) + 3 (clean), 4 (dropped) + 5, ...: the
+  // first query is clean, every later one succeeds after one retry.
+  ASSERT_EQ(retrying.attempts_trace().size(), 20u);
+  EXPECT_EQ(retrying.attempts_trace()[0], 1u);
+  for (size_t i = 1; i < 20; ++i) {
+    EXPECT_EQ(retrying.attempts_trace()[i], 2u) << "query " << i;
+  }
+  EXPECT_EQ(retrying.last_attempts(), 2u);
 }
 
 TEST(RetryingServerTest, GivesUpAfterMaxRetries) {
   auto data = NumericData();
   LocalServer base(data, 8);
   FlakyServer always_down(&base, /*period=*/1);  // every attempt fails
-  RetryingServer retrying(&always_down, /*max_retries=*/4);
+  RetryingServer retrying(&always_down, /*max_retries=*/4,
+                          /*keep_attempts_trace=*/true);
   Response r;
   Status s = retrying.Issue(Query::FullSpace(base.schema()), &r);
   EXPECT_EQ(s.code(), Status::Code::kInternal);
   EXPECT_EQ(retrying.retries_performed(), 4u);
   EXPECT_EQ(always_down.attempts(), 5u);  // 1 try + 4 retries
+  // The query concluded (given up) after all five attempts; only answered
+  // queries enter the trace.
+  EXPECT_EQ(retrying.last_attempts(), 5u);
+  EXPECT_TRUE(retrying.attempts_trace().empty());
+  EXPECT_EQ(base.queries_served(), 0u);
 }
 
 TEST(RetryingServerTest, RetriesTransportOutages) {
@@ -159,6 +179,8 @@ TEST(RetryingServerTest, DoesNotRetryBudgetExhaustion) {
   Response r;
   Status s = retrying.Issue(Query::FullSpace(base.schema()), &r);
   EXPECT_TRUE(s.IsResourceExhausted());
+  EXPECT_EQ(s.message(), "query budget exhausted");
+  EXPECT_EQ(retrying.last_attempts(), 1u);
   EXPECT_EQ(retrying.retries_performed(), 0u)
       << "a quota does not come back by asking again";
 }

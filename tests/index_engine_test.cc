@@ -314,6 +314,72 @@ TEST(IndexEngineTest, BuildStatsReportWhatWasBuilt) {
   EXPECT_STREQ(IndexEngineName(scan.index()->engine()), "scan");
 }
 
+TEST(IndexEngineTest, ThreadScratchServesIndexesOfDifferentBlockCounts) {
+  // Serial EvaluateBatch evaluates on the calling thread's one scratch,
+  // whatever index it serves. Alternate between a 2-block (70k-row) and a
+  // 4-block (200k-row) index on range-driver shapes — a narrow numeric
+  // range, alone or beside a wide category, materializes into the
+  // scratch's epoch-aged driver bitmap — so one scratch is grown, reused
+  // on the smaller index and reused again on the larger one. Every answer
+  // must match the kScan oracle.
+  struct Side {
+    std::shared_ptr<const LocalIndex> bitmap;
+    std::shared_ptr<const LocalIndex> scan;
+  };
+  auto make_side = [](size_t n, uint64_t seed) {
+    SyntheticMixedOptions gen;
+    gen.domain_sizes = {4};
+    gen.num_numeric = 2;
+    gen.n = n;
+    gen.value_range = 10000;
+    gen.zipf_s = 0.0;
+    gen.seed = seed;
+    auto data = std::make_shared<const Dataset>(GenerateSyntheticMixed(gen));
+    Side side;
+    side.bitmap = std::make_shared<const LocalIndex>(
+        data, 64, MakeRandomPriorityPolicy(seed),
+        LocalIndexOptions{IndexEngine::kBitmap});
+    side.scan = std::make_shared<const LocalIndex>(
+        data, 64, MakeRandomPriorityPolicy(seed),
+        LocalIndexOptions{IndexEngine::kScan});
+    return side;
+  };
+  const Side sides[] = {make_side(70000, 71), make_side(200000, 72)};
+
+  Rng rng(73);
+  for (int round = 0; round < 24; ++round) {
+    const Side& side = sides[round % 2];
+    const Query full = Query::FullSpace(side.bitmap->schema());
+    std::vector<Query> batch;
+    for (int i = 0; i < 4; ++i) {
+      // At most ~4% of the rows: the range drives against no bitmap or
+      // against a ~25% category.
+      const Value lo = rng.UniformInt(-50, 10000);
+      Query q = full.WithNumericRange(1, lo, lo + rng.UniformInt(0, 400));
+      if (rng.Bernoulli(0.5)) {
+        q = q.WithCategoricalEquals(0, rng.UniformInt(1, 4));
+      }
+      if (rng.Bernoulli(0.3)) {
+        const Value lo2 = rng.UniformInt(0, 10000);
+        q = q.WithNumericRange(2, lo2, lo2 + rng.UniformInt(0, 5000));
+      }
+      batch.push_back(q);
+    }
+    std::vector<Response> got;
+    QueryStats stats;
+    EvaluateBatch(*side.bitmap, /*pool=*/nullptr, batch, &got, &stats);
+    ASSERT_EQ(got.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Response want;
+      EvalScratch scratch;
+      QueryStats scan_stats;
+      side.scan->AnswerQuery(batch[i], &want, &scratch, &scan_stats);
+      EXPECT_EQ(Digest(got[i]), Digest(want))
+          << "round " << round << ": " << batch[i].ToString();
+    }
+  }
+}
+
 TEST(IndexEngineTest, ScratchTrimsBackToRetentionCap) {
   EvalScratch scratch;
   scratch.ids.assign(EvalScratch::kRetainIds * 4, 0);

@@ -4,7 +4,7 @@
 // over every server shape in the tree:
 //
 //   local    — a plain LocalServer (the paper's Section 6 methodology);
-//   decorated— an owned metering stack Budget(Counting(Observed(Local)));
+//   decorated— a metering stack Budget(Counting(Local)) of borrowed layers;
 //   session  — a CrawlService ServerSession on a shared index + pool;
 //   remote   — a RemoteServer talking to a ServiceEndpoint over TCP
 //              loopback (a live CrawlService behind a real socket);
@@ -69,33 +69,29 @@ class LocalBackend : public BackendHandle {
 
 class DecoratedBackend : public BackendHandle {
  public:
-  explicit DecoratedBackend(uint64_t budget) {
-    auto local = std::make_unique<LocalServer>(ConformanceDataset(),
-                                               kConformanceK);
-    auto counting = std::make_unique<CountingServer>(std::move(local),
-                                                     /*keep_trace=*/true);
-    counting_ = counting.get();
-    std::unique_ptr<HiddenDbServer> stack = std::move(counting);
+  explicit DecoratedBackend(uint64_t budget)
+      : local_(ConformanceDataset(), kConformanceK),
+        counting_(&local_, /*keep_trace=*/true) {
     if (budget != kNoBudget) {
-      auto budgeted =
-          std::make_unique<BudgetServer>(std::move(stack), budget);
-      budget_ = budgeted.get();
-      stack = std::move(budgeted);
+      budget_ = std::make_unique<BudgetServer>(&counting_, budget);
     }
-    top_ = std::move(stack);
   }
 
-  HiddenDbServer* server() override { return top_.get(); }
-  uint64_t queries_served() override { return counting_->queries(); }
+  HiddenDbServer* server() override {
+    return budget_ != nullptr ? static_cast<HiddenDbServer*>(budget_.get())
+                              : &counting_;
+  }
+  uint64_t queries_served() override { return counting_.queries(); }
   void RefillBudget(uint64_t max_queries) override {
     HDC_CHECK(budget_ != nullptr);
     budget_->Refill(max_queries);
   }
 
  private:
-  std::unique_ptr<HiddenDbServer> top_;
-  CountingServer* counting_ = nullptr;
-  BudgetServer* budget_ = nullptr;
+  // Declared bottom-up, so destruction runs top-down.
+  LocalServer local_;
+  CountingServer counting_;
+  std::unique_ptr<BudgetServer> budget_;
 };
 
 // --- service session --------------------------------------------------------

@@ -79,7 +79,9 @@ TEST(ShardPlanTest, ShardsAreADisjointOrderPreservingCover) {
         EXPECT_FALSE(covered[gids[i]]) << "row dealt to two shards";
         covered[gids[i]] = true;
         // Order-preserving: local id order is global id order.
-        if (i > 0) EXPECT_LT(gids[i - 1], gids[i]);
+        if (i > 0) {
+          EXPECT_LT(gids[i - 1], gids[i]);
+        }
         // The shard row is the global row.
         EXPECT_EQ(shard_data.tuple(i), data->tuple(gids[i]));
         // The shard's priority slice is the global table's.
@@ -390,15 +392,15 @@ TEST(ShardedFaultTest, ShardFailingMidRoundLeavesValidMergedPrefix) {
 
   // Shard 1 runs behind a 3-query budget: it answers three members of the
   // scattered round, then fails with ResourceExhausted.
+  LocalServer budgeted_shard(plan.BuildShardIndex(1));
   std::vector<ShardBackend> backends;
   for (size_t s = 0; s < 2; ++s) {
     ShardBackend backend;
-    auto local = std::make_unique<LocalServer>(plan.BuildShardIndex(s));
     if (s == 1) {
       backend.server =
-          std::make_unique<BudgetServer>(std::move(local), /*budget=*/3);
+          std::make_unique<BudgetServer>(&budgeted_shard, /*budget=*/3);
     } else {
-      backend.server = std::move(local);
+      backend.server = std::make_unique<LocalServer>(plan.BuildShardIndex(s));
     }
     backend.global_ids = plan.shard_global_ids(s);
     backends.push_back(std::move(backend));

@@ -28,6 +28,9 @@ Rules
                      written as a bare expression statement, is an ignored
                      error. Backstops [[nodiscard]] for compilers that do
                      not diagnose the class-level attribute.
+  issue-override     no Issue(...) is declared override or final: a server
+                     implements IssueBatch only, and Issue is its
+                     one-element form, defined once in server/server.h.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -102,6 +105,11 @@ NON_STATUS_DECL_RE = re.compile(
 CALL_STMT_RE = re.compile(
     r"^\s*(?:[A-Za-z_]\w*(?:\s*(?:\.|->|::)\s*[A-Za-z_]\w*)*\s*(?:\.|->|::)\s*)?"
     r"([A-Za-z_]\w*)\s*\(.*\)\s*;\s*$")
+
+# An Issue(...) declaration marked override or final, parameters possibly
+# spanning lines. \b keeps IssueBatch and names ending in "Issue" out.
+ISSUE_OVERRIDE_RE = re.compile(
+    r"\bIssue\s*\([^()]*\)\s*(?:const\s*)?(?:override|final)\b")
 
 CPP_SUFFIXES = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
@@ -257,6 +265,15 @@ def check_status_discard(rel, lines, status_names, findings):
             "propagate it, or cast to (void) for a best-effort call" % name))
 
 
+def check_issue_override(rel, stripped, findings):
+    for m in ISSUE_OVERRIDE_RE.finditer(stripped):
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        findings.append((
+            rel, lineno, "issue-override",
+            "Issue(...) must not be overridden; implement IssueBatch — "
+            "Issue is its one-element form (server/server.h)"))
+
+
 # --- driver -----------------------------------------------------------------
 
 def gather_files(root):
@@ -296,6 +313,7 @@ def run(root):
                            findings)
         check_includes(rel, raw.split("\n"), lines, findings)
         check_status_discard(rel, lines, status_names, findings)
+        check_issue_override(rel, stripped, findings)
     return findings
 
 

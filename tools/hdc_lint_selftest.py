@@ -166,18 +166,56 @@ def main():
          "src/net/ok.cc": "void F(B* b) {\n  b->Close();\n}\n"},
         [], forbid_rules=["status-discard"])
 
+    # --- issue-override ---------------------------------------------------
+    scenario(
+        "issue: an Issue override is flagged",
+        {"src/server/bad.h":
+         "class S : public HiddenDbServer {\n"
+         "  Status Issue(const Query& query,\n"
+         "               Response* response) override;\n"
+         "};\n"},
+        ["issue-override"])
+    scenario(
+        "issue: a final Issue is flagged",
+        {"src/net/bad.h":
+         "struct S { Status Issue(const Query& q, Response* r) final; };\n"},
+        ["issue-override"])
+    scenario(
+        "issue: an IssueBatch override is fine",
+        {"src/server/ok.h":
+         "class S : public HiddenDbServer {\n"
+         "  Status IssueBatch(const std::vector<Query>& queries,\n"
+         "                    std::vector<Response>* responses) override;\n"
+         "};\n"},
+        [], forbid_rules=["issue-override"])
+    scenario(
+        "issue: a plain Issue declaration and call are fine",
+        {"src/server/ok.h":
+         "class HiddenDbServer {\n"
+         "  virtual Status Issue(const Query& query, Response* response) {\n"
+         "    return Status::OK();\n"
+         "  }\n"
+         "};\n",
+         "src/core/ok.cc":
+         "Status F(HiddenDbServer* s, const Query& q, Response* r) {\n"
+         "  return s->Issue(q, r);\n"
+         "}\n"},
+        [], forbid_rules=["issue-override"])
+
     # --- multi-rule tree ----------------------------------------------------
     scenario(
-        "all five rules fire together",
+        "all six rules fire together",
         {"src/util/bad.h": '#include "analytics/report.h"\n',
          "src/data/bad.cc":
          "std::thread t([] {});\n"
          "std::mutex mu;\n"
          "auto T() { return std::chrono::system_clock::now(); }\n",
          "src/query/api.h": "Status Run();\n",
-         "src/query/bad.cc": "void F() {\n  Run();\n}\n"},
+         "src/query/bad.cc": "void F() {\n  Run();\n}\n",
+         "src/server/bad.h":
+         "struct S { Status Issue(const Query&, Response*) override; };\n"},
         ["clock-discipline", "thread-discipline", "mutex-discipline",
-         "include-layers", "status-discard"])
+         "include-layers", "status-discard", "issue-override"])
 
     print()
     if FAILURES:
