@@ -1,7 +1,7 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
 // LocalIndex raw-speed microbench: wall time per predicate shape for each
-// evaluation engine (scan oracle / legacy single-driver / bitmap). The
+// evaluation engine (scan oracle / bitmap). The
 // dataset is a fixed synthetic 1M-row instance (override with --rows):
 //
 //   Make  : categorical, 16 values, uniform  — straddles the array/bitset
@@ -17,7 +17,7 @@
 // non-time CSV columns (tuples, overflows) double as a cross-engine
 // equivalence check and pin the bench under tools/check_bench_regression.py.
 // The nightly gate additionally enforces the headline ratio: bitmap must
-// beat legacy by >= 4x wall time on the selective multi-predicate shape.
+// beat scan by >= 24x wall time on the selective multi-predicate shape.
 //
 // Each shape's script is timed --repeats times and the minimum wall is
 // reported: the minimum is the least-noise estimator of the true cost on a
@@ -161,8 +161,7 @@ int main(int argc, char** argv) {
       {"engine", "shape", "rows", "queries", "k", "tuples", "overflows",
        "wall_seconds", "qps_wall"});
 
-  for (IndexEngine engine :
-       {IndexEngine::kScan, IndexEngine::kLegacy, IndexEngine::kBitmap}) {
+  for (IndexEngine engine : {IndexEngine::kScan, IndexEngine::kBitmap}) {
     LocalServerOptions options;
     options.engine = engine;
     const auto build_start = std::chrono::steady_clock::now();

@@ -40,6 +40,10 @@ bool CheckpointReader::TryNext(std::string* line) {
   return true;
 }
 
+bool CheckpointReader::AtEnd() {
+  return in_->eof() || in_->peek() == std::istream::traits_type::eof();
+}
+
 Status CheckpointReader::Error(const std::string& message) const {
   return Status::InvalidArgument("line " + std::to_string(line_number_) +
                                  ": " + message);

@@ -56,6 +56,10 @@ class CheckpointReader {
   /// input, true when a line was read.
   bool TryNext(std::string* line);
 
+  /// True when no input follows the last line returned: it was the final
+  /// line, with or without a terminating newline.
+  bool AtEnd();
+
   /// Number of the last line returned (0 before the first read).
   uint64_t line_number() const { return line_number_; }
 

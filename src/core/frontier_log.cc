@@ -169,8 +169,46 @@ struct ReplayImage {
   std::vector<std::string> frontier_lines;
 };
 
+/// Reads the next line as "<tag> <rest>".
+Status NextTagged(CheckpointReader* in, const std::string& tag,
+                  std::string* rest) {
+  std::string line;
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  if (Status s = ExpectTagged(line, tag, rest); !s.ok()) {
+    return in->Error(s.message());
+  }
+  return Status::OK();
+}
+
+/// Reads the next line as "<tag> <count>".
+Status NextTaggedCount(CheckpointReader* in, const std::string& tag,
+                       uint64_t* count) {
+  std::string rest;
+  HDC_RETURN_IF_ERROR(NextTagged(in, tag, &rest));
+  if (Status s = ParseUint64Token(rest, count); !s.ok()) {
+    return in->Error(s.message());
+  }
+  return Status::OK();
+}
+
+/// Reads the next line as "seen <m> <m ids>", appending the ids to `ids`.
+Status NextSeenIds(CheckpointReader* in, std::vector<uint64_t>* ids) {
+  std::string rest;
+  HDC_RETURN_IF_ERROR(NextTagged(in, "seen", &rest));
+  std::istringstream tokens(rest);
+  uint64_t count = 0;
+  if (!(tokens >> count)) return in->Error("malformed seen line");
+  ids->reserve(ids->size() + count);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t id = 0;
+    if (!(tokens >> id)) return in->Error("seen line truncated");
+    ids->push_back(id);
+  }
+  return Status::OK();
+}
+
 Status ParseSnapshot(CheckpointReader* in, ReplayImage* image) {
-  std::string line, rest;
+  std::string line;
 
   HDC_RETURN_IF_ERROR(in->Next(&line));
   {
@@ -183,60 +221,19 @@ Status ParseSnapshot(CheckpointReader* in, ReplayImage* image) {
     }
   }
 
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "algorithm", &image->algorithm);
-      !s.ok()) {
-    return in->Error(s.message());
-  }
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "schema", &image->schema_spec); !s.ok()) {
-    return in->Error(s.message());
-  }
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "queries", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  if (Status s = ParseUint64Token(rest, &image->queries); !s.ok()) {
-    return in->Error(s.message());
-  }
+  HDC_RETURN_IF_ERROR(NextTagged(in, "algorithm", &image->algorithm));
+  HDC_RETURN_IF_ERROR(NextTagged(in, "schema", &image->schema_spec));
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "queries", &image->queries));
+  HDC_RETURN_IF_ERROR(NextSeenIds(in, &image->seen_ids));
 
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "seen", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  {
-    std::istringstream tokens(rest);
-    uint64_t count = 0;
-    if (!(tokens >> count)) return in->Error("malformed seen line");
-    image->seen_ids.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!(tokens >> id)) return in->Error("seen line truncated");
-      image->seen_ids.push_back(id);
-    }
-  }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "extracted", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
   uint64_t tuple_count = 0;
-  if (Status s = ParseUint64Token(rest, &tuple_count); !s.ok()) {
-    return in->Error(s.message());
-  }
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "extracted", &tuple_count));
   image->tuple_lines.reserve(tuple_count);
   for (uint64_t i = 0; i < tuple_count; ++i) {
     HDC_RETURN_IF_ERROR(in->Next(&line));
     image->tuple_lines.push_back(line);
   }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "collected", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  if (Status s = ParseUint64Token(rest, &image->collected); !s.ok()) {
-    return in->Error(s.message());
-  }
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "collected", &image->collected));
 
   HDC_RETURN_IF_ERROR(in->Next(&line));
   if (line != "frontier-begin") {
@@ -254,91 +251,84 @@ Status ParseSnapshot(CheckpointReader* in, ReplayImage* image) {
   return Status::OK();
 }
 
-/// Applies one round record to `image`. Returns OK with *applied=true on a
-/// complete record; OK with *applied=false on a torn tail (EOF or partial
-/// write after the last durable commit); an error only for corruption in a
-/// region that a prior commit made durable — which cannot happen from a
-/// crash, only from external damage. To keep those apart, the record is
-/// staged and only folded into `image` when its commit line checks out.
-Status ApplyRound(CheckpointReader* in, ReplayImage* image, uint64_t* seq,
-                  bool* applied) {
-  *applied = false;
-  std::string line, rest;
-  if (!in->TryNext(&line)) return Status::OK();  // clean end of log
-
-  if (Status s = ExpectTagged(line, "round", &rest); !s.ok()) {
-    return Status::OK();  // torn tail
-  }
-  uint64_t round_seq = 0;
-  if (!ParseUint64Token(rest, &round_seq).ok()) return Status::OK();
-
-  uint64_t queries = 0, collected = 0;
-  if (!in->TryNext(&line) || !ExpectTagged(line, "queries", &rest).ok() ||
-      !ParseUint64Token(rest, &queries).ok()) {
-    return Status::OK();
-  }
-  if (!in->TryNext(&line) || !ExpectTagged(line, "collected", &rest).ok() ||
-      !ParseUint64Token(rest, &collected).ok()) {
-    return Status::OK();
-  }
-
+/// One parsed round record, staged until its commit line checks out.
+struct RoundRecord {
+  uint64_t seq = 0;
+  uint64_t queries = 0;
+  uint64_t collected = 0;
   std::vector<uint64_t> seen;
-  if (!in->TryNext(&line) || !ExpectTagged(line, "seen", &rest).ok()) {
-    return Status::OK();
-  }
-  {
-    std::istringstream tokens(rest);
-    uint64_t count = 0;
-    if (!(tokens >> count)) return Status::OK();
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!(tokens >> id)) return Status::OK();
-      seen.push_back(id);
-    }
-  }
-
   std::vector<std::string> tuples;
-  if (!in->TryNext(&line) || !ExpectTagged(line, "tuples", &rest).ok()) {
-    return Status::OK();
-  }
+  uint64_t keep = 0;
+  std::vector<std::string> added;
+};
+
+/// Parses one complete round record. Any failure, running out of input
+/// included, is an InvalidArgument naming the line.
+Status ParseRound(CheckpointReader* in, size_t frontier_size,
+                  RoundRecord* round) {
+  std::string line;
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "round", &round->seq));
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "queries", &round->queries));
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "collected", &round->collected));
+  HDC_RETURN_IF_ERROR(NextSeenIds(in, &round->seen));
+
   uint64_t tuple_count = 0;
-  if (!ParseUint64Token(rest, &tuple_count).ok()) return Status::OK();
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "tuples", &tuple_count));
   for (uint64_t i = 0; i < tuple_count; ++i) {
-    if (!in->TryNext(&line)) return Status::OK();
-    tuples.push_back(line);
+    HDC_RETURN_IF_ERROR(in->Next(&line));
+    round->tuples.push_back(line);
   }
 
-  if (!in->TryNext(&line)) return Status::OK();
-  uint64_t keep = 0, add = 0;
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  uint64_t add = 0;
   {
     std::istringstream tokens(line);
     std::string tag, keep_word, add_word;
-    if (!(tokens >> tag >> keep_word >> keep >> add_word >> add) ||
+    if (!(tokens >> tag >> keep_word >> round->keep >> add_word >> add) ||
         tag != "frontier" || keep_word != "keep" || add_word != "add" ||
-        keep > image->frontier_lines.size()) {
-      return Status::OK();
+        round->keep > frontier_size) {
+      return in->Error("malformed frontier delta '" + line + "'");
     }
   }
-  std::vector<std::string> added;
   for (uint64_t i = 0; i < add; ++i) {
-    if (!in->TryNext(&line)) return Status::OK();
-    added.push_back(line);
+    HDC_RETURN_IF_ERROR(in->Next(&line));
+    round->added.push_back(line);
   }
 
-  if (!in->TryNext(&line) ||
-      line != "commit " + std::to_string(round_seq)) {
-    return Status::OK();  // record never became durable
+  const std::string commit = "commit " + std::to_string(round->seq);
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  if (line != commit) {
+    return in->Error("expected '" + commit + "', got '" + line + "'");
+  }
+  return Status::OK();
+}
+
+/// Applies the next round record to `image`. Returns OK with
+/// *applied=true on a complete record and OK with *applied=false at the
+/// end of the log. A crash tears only the last append, so a record that
+/// fails to parse on the final line of input — cut short, or with a
+/// partial last line — is a torn tail and is discarded. A failure on a
+/// line with more input after it cannot come from a crash, only from
+/// damage to a committed record: that is the InvalidArgument naming the
+/// line, never a silent stop.
+Status ApplyRound(CheckpointReader* in, ReplayImage* image, bool* applied) {
+  *applied = false;
+  RoundRecord round;
+  if (Status s = ParseRound(in, image->frontier_lines.size(), &round);
+      !s.ok()) {
+    return in->AtEnd() ? Status::OK() : s;
   }
 
-  image->queries = queries;
-  image->collected = collected;
-  for (uint64_t id : seen) image->seen_ids.push_back(id);
-  for (std::string& t : tuples) image->tuple_lines.push_back(std::move(t));
-  image->frontier_lines.resize(keep);
-  for (std::string& f : added) {
+  image->queries = round.queries;
+  image->collected = round.collected;
+  for (uint64_t id : round.seen) image->seen_ids.push_back(id);
+  for (std::string& t : round.tuples) {
+    image->tuple_lines.push_back(std::move(t));
+  }
+  image->frontier_lines.resize(round.keep);
+  for (std::string& f : round.added) {
     image->frontier_lines.push_back(std::move(f));
   }
-  *seq = round_seq;
   *applied = true;
   return Status::OK();
 }
@@ -379,10 +369,9 @@ Status ReplayFrontierLog(const std::string& path, SchemaPtr schema,
   ReplayImage image;
   HDC_RETURN_IF_ERROR(ParseSnapshot(&reader, &image));
 
-  uint64_t seq = 0;
   while (true) {
     bool applied = false;
-    HDC_RETURN_IF_ERROR(ApplyRound(&reader, &image, &seq, &applied));
+    HDC_RETURN_IF_ERROR(ApplyRound(&reader, &image, &applied));
     if (!applied) break;
   }
 

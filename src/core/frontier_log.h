@@ -137,8 +137,9 @@ class FrontierLogWriter {
 /// Replays a frontier log into a resumable CrawlState: applies every
 /// complete round record on top of the snapshot, silently discarding a torn
 /// tail. NotFound when `path` does not exist (a fresh run, not an error).
-/// Corruption *before* the tail — a durably-committed region that fails to
-/// parse — is a typed InvalidArgument naming the offending line.
+/// Corruption *before* the tail — a record that fails to parse on a line
+/// with more input after it — is a typed InvalidArgument naming the
+/// offending line.
 Status ReplayFrontierLog(const std::string& path, SchemaPtr schema,
                          std::shared_ptr<CrawlState>* out);
 

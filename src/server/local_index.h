@@ -8,14 +8,11 @@
 // const and touches no mutable state, so concurrent evaluation from many
 // threads needs no synchronisation.
 //
-// Evaluation runs on one of three engines (LocalIndexOptions::engine):
+// Evaluation runs on one of two engines (LocalIndexOptions::engine):
 //
 //   kScan    — full scan per query. No index structures at all; the slow,
-//              independent oracle the other engines are cross-checked
+//              independent oracle the bitmap engine is cross-checked
 //              against.
-//   kLegacy  — single-driver postings/sorted-array evaluation: the most
-//              selective predicate supplies candidates, every candidate is
-//              verified row-at-a-time against the remaining predicates.
 //   kBitmap  — the default. Roaring-style block-compressed bitmaps: every
 //              categorical value owns one container per 65536-id block,
 //              stored as a sorted uint16 array while sparse and flipped to
@@ -31,8 +28,8 @@
 //              flags overflow the moment candidate k+1 appears, and never
 //              materializes the full match set.
 //
-// All three engines return bit-identical responses; the conformance suite
-// and tests/index_engine_test.cc enforce it.
+// Both engines return bit-identical responses; the conformance suite and
+// tests/index_engine_test.cc enforce it.
 //
 // The mutable half of a conversation (statistics, budgets, logs) lives in
 // whoever holds the index: LocalServer for the classic single-crawl setup,
@@ -54,16 +51,15 @@ namespace hdc {
 
 class WorkerPool;
 
-/// Which evaluation core answers queries. All engines are answer-identical;
+/// Which evaluation core answers queries. Both engines are answer-identical;
 /// they differ only in wall time and in the structures built at
 /// construction.
 enum class IndexEngine {
   kScan,    ///< full scan; the differential-test oracle
-  kLegacy,  ///< single-driver postings + per-row verification
   kBitmap,  ///< block-compressed bitmaps + zone maps + streaming top-k
 };
 
-/// "scan" / "legacy" / "bitmap".
+/// "scan" / "bitmap".
 const char* IndexEngineName(IndexEngine engine);
 
 struct LocalIndexOptions {
@@ -73,7 +69,6 @@ struct LocalIndexOptions {
 /// What LocalIndex built at construction time; printed by examples and
 /// benches so a run proves which path it exercised.
 struct IndexBuildStats {
-  IndexEngine engine = IndexEngine::kBitmap;
   /// kBitmap only: containers across all categorical value bitmaps.
   uint64_t array_containers = 0;
   uint64_t bitset_containers = 0;
@@ -101,7 +96,7 @@ struct QueryStats {
 /// TrimAfterBatch drops oversized retention so one huge query cannot pin
 /// peak-size buffers for the lifetime of a pool thread.
 struct EvalScratch {
-  /// Match collection (kScan/kLegacy) and the bounded top-k selection heap
+  /// Match collection (kScan) and the bounded top-k selection heap
   /// (kBitmap, never more than k entries).
   std::vector<uint32_t> ids;
 
@@ -151,7 +146,7 @@ class LocalIndex {
 
   /// Exact |q(D)| (no k-truncation); used by tests as ground truth.
   /// Thread-safe and materialization-free: counts flow from popcounts over
-  /// intersected bitmap blocks (or per-row tests on the oracle engines)
+  /// intersected bitmap blocks (or per-row tests on the kScan oracle)
   /// without ever building a match vector.
   uint64_t CountMatches(const Query& query) const;
 
@@ -226,7 +221,6 @@ class LocalIndex {
     kPartial,  ///< boundary block: rows must be tested
   };
 
-  void BuildLegacyStructures();
   void BuildBitmapStructures();
 
   /// Resolves `query`'s constraining predicates (domain-covering ones are
@@ -249,14 +243,11 @@ class LocalIndex {
                           const uint32_t* driver_epochs, uint32_t epoch,
                           Visitor&& visit) const;
 
-  /// Appends all row ids matching `query` to `out` (oracle engines).
+  /// Appends all row ids matching `query` to `out` (the kScan oracle).
   void CollectMatchesScan(const Query& query,
                           std::vector<uint32_t>* out) const;
-  void CollectMatchesLegacy(const Query& query,
-                            std::vector<uint32_t>* out) const;
 
   uint64_t CountMatchesScan(const Query& query) const;
-  uint64_t CountMatchesLegacy(const Query& query) const;
   uint64_t CountMatchesBitmap(const Query& query) const;
 
   void AnswerQueryBitmap(const Query& query, Response* response,
@@ -301,13 +292,9 @@ class LocalIndex {
   /// Column-major copy of the data: columns_[attr][id].
   std::vector<std::vector<Value>> columns_;
 
-  /// kLegacy: categorical attr -> (value -> sorted row ids). Indexed by
-  /// value (1..U); slot 0 unused.
-  std::vector<std::vector<std::vector<uint32_t>>> postings_;
-
-  /// kLegacy + kBitmap: numeric attr -> row ids sorted by value, plus the
-  /// aligned sorted values for binary search (kBitmap uses them for exact
-  /// range selectivity and to materialize selective range drivers).
+  /// kBitmap: numeric attr -> row ids sorted by value, plus the aligned
+  /// sorted values for binary search (exact range selectivity, and the
+  /// source for materializing selective range drivers).
   std::vector<std::vector<uint32_t>> sorted_ids_;
   std::vector<std::vector<Value>> sorted_values_;
 

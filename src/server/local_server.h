@@ -30,8 +30,8 @@ class WorkerPool;
 
 struct LocalServerOptions {
   /// Which LocalIndex evaluation engine answers queries (see
-  /// LocalIndexOptions::engine): kBitmap is the fast default; kLegacy and
-  /// kScan are the slower oracles the fast path is cross-checked against.
+  /// LocalIndexOptions::engine): kBitmap is the fast default; kScan is
+  /// the slow oracle the fast path is cross-checked against.
   /// Only used by the dataset-taking constructor — a shared prebuilt index
   /// brings its own engine.
   IndexEngine engine = IndexEngine::kBitmap;

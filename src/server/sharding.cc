@@ -70,23 +70,19 @@ ShardPlan ShardPlan::Partition(std::shared_ptr<const Dataset> dataset,
 }
 
 std::shared_ptr<const LocalIndex> ShardPlan::BuildShardIndex(
-    size_t shard, IndexEngine engine) const {
-  LocalIndexOptions options;
-  options.engine = engine;
+    size_t shard) const {
   return std::make_shared<const LocalIndex>(
       shards_[shard].dataset, k_,
-      MakeFixedPriorityPolicy(shards_[shard].priorities), options);
+      MakeFixedPriorityPolicy(shards_[shard].priorities));
 }
 
 // --- ShardedServer ----------------------------------------------------------
 
 ShardedServer::ShardedServer(
     std::vector<ShardBackend> shards,
-    std::shared_ptr<const std::vector<uint64_t>> global_priorities,
-    ShardedServerOptions options)
+    std::shared_ptr<const std::vector<uint64_t>> global_priorities)
     : shards_(std::move(shards)),
-      global_priorities_(std::move(global_priorities)),
-      options_(options) {
+      global_priorities_(std::move(global_priorities)) {
   HDC_CHECK_MSG(!shards_.empty(), "a sharded server needs >= 1 backend");
   HDC_CHECK(global_priorities_ != nullptr);
   for (const ShardBackend& shard : shards_) {
@@ -107,22 +103,17 @@ ShardedServer::ShardedServer(
   stats_.resize(shards_.size());
 }
 
-std::unique_ptr<ShardedServer> ShardedServer::OverPlan(
-    const ShardPlan& plan, IndexEngine engine, ShardedServerOptions options) {
+std::unique_ptr<ShardedServer> ShardedServer::OverPlan(const ShardPlan& plan) {
   std::vector<ShardBackend> backends;
   backends.reserve(plan.num_shards());
   for (size_t s = 0; s < plan.num_shards(); ++s) {
     ShardBackend backend;
-    LocalServerOptions server_options;
-    server_options.engine = engine;
-    backend.server = std::make_unique<LocalServer>(
-        plan.BuildShardIndex(s, engine), server_options);
+    backend.server = std::make_unique<LocalServer>(plan.BuildShardIndex(s));
     backend.global_ids = plan.shard_global_ids(s);
     backends.push_back(std::move(backend));
   }
   return std::make_unique<ShardedServer>(std::move(backends),
-                                         plan.shared_global_priorities(),
-                                         options);
+                                         plan.shared_global_priorities());
 }
 
 Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
@@ -134,27 +125,22 @@ Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
 
   // Scatter: the whole round goes to every shard (rows are partitioned, so
   // every shard may hold matches for any member). Shard 0 runs on the
-  // calling thread; the rest on their own scatter threads for the round.
+  // calling thread; the rest on their own scatter threads for the round,
+  // so remote shards' wire round-trips overlap instead of serializing. One
+  // shard spawns no thread.
   const size_t num_shards = shards_.size();
   std::vector<std::vector<Response>> gathered(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
 
-  if (options_.parallel_scatter && num_shards > 1) {
-    std::vector<std::thread> scatter;
-    scatter.reserve(num_shards - 1);
-    for (size_t s = 1; s < num_shards; ++s) {
-      scatter.emplace_back([this, s, &queries, &gathered, &statuses] {
-        statuses[s] =
-            shards_[s].server->IssueBatch(queries, &gathered[s]);
-      });
-    }
-    statuses[0] = shards_[0].server->IssueBatch(queries, &gathered[0]);
-    for (std::thread& t : scatter) t.join();
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
+  std::vector<std::thread> scatter;
+  scatter.reserve(num_shards - 1);
+  for (size_t s = 1; s < num_shards; ++s) {
+    scatter.emplace_back([this, s, &queries, &gathered, &statuses] {
       statuses[s] = shards_[s].server->IssueBatch(queries, &gathered[s]);
-    }
+    });
   }
+  statuses[0] = shards_[0].server->IssueBatch(queries, &gathered[0]);
+  for (std::thread& t : scatter) t.join();
 
   // Gather: the merged prefix ends at the first member some shard could
   // not answer. Per-shard accounting records what each backend really did,

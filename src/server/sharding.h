@@ -122,8 +122,7 @@ class ShardPlan {
 
   /// Builds shard `shard`'s evaluation index: the shard dataset under the
   /// shard's slice of the global ranking.
-  std::shared_ptr<const LocalIndex> BuildShardIndex(
-      size_t shard, IndexEngine engine = IndexEngine::kBitmap) const;
+  std::shared_ptr<const LocalIndex> BuildShardIndex(size_t shard) const;
 
  private:
   struct Shard {
@@ -143,15 +142,6 @@ class ShardPlan {
 struct ShardBackend {
   std::unique_ptr<HiddenDbServer> server;
   std::vector<uint64_t> global_ids;
-};
-
-struct ShardedServerOptions {
-  /// Scatter each round to the shards on parallel threads (one per extra
-  /// shard; the calling thread takes shard 0). Indispensable for remote
-  /// shards — sequential scatter would serialize N wire round-trips —
-  /// and harmless in-process. false scatters sequentially (deterministic
-  /// single-threaded mode for debugging).
-  bool parallel_scatter = true;
 };
 
 /// Cumulative per-shard accounting of one ShardedServer conversation.
@@ -177,14 +167,11 @@ class ShardedServer : public HiddenDbServer {
   /// into `global_priorities`. The convenience factories below build the
   /// common stacks.
   ShardedServer(std::vector<ShardBackend> shards,
-                std::shared_ptr<const std::vector<uint64_t>> global_priorities,
-                ShardedServerOptions options = {});
+                std::shared_ptr<const std::vector<uint64_t>> global_priorities);
 
   /// In-process sharding over a plan: one LocalServer per shard, each on
   /// its shard index under the global ranking.
-  static std::unique_ptr<ShardedServer> OverPlan(
-      const ShardPlan& plan, IndexEngine engine = IndexEngine::kBitmap,
-      ShardedServerOptions options = {});
+  static std::unique_ptr<ShardedServer> OverPlan(const ShardPlan& plan);
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override;
@@ -221,7 +208,6 @@ class ShardedServer : public HiddenDbServer {
 
   std::vector<ShardBackend> shards_;
   std::shared_ptr<const std::vector<uint64_t>> global_priorities_;
-  ShardedServerOptions options_;
   uint64_t k_ = 0;
   SchemaPtr schema_;
 

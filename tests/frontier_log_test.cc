@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -138,6 +139,56 @@ TEST(FrontierLogTest, TornTailIsDiscardedAtEveryByteOffset) {
   EXPECT_EQ(final_state->queries_issued, full.queries_issued);
   EXPECT_TRUE(final_state->Finished());
   EXPECT_TRUE(Dataset::MultisetEquals(final_state->extracted, data));
+}
+
+TEST(FrontierLogTest, CorruptCommittedRecordIsATypedErrorNamingTheLine) {
+  Dataset data = MakeData(62);
+  auto shared = std::make_shared<Dataset>(data);
+  const uint64_t k = std::max<uint64_t>(8, data.MaxPointMultiplicity());
+
+  const std::string path = ::testing::TempDir() + "/hdc_flog_corrupt.log";
+  std::remove(path.c_str());
+  LocalServer server(shared, k);
+  std::unique_ptr<FrontierLogWriter> log;
+  FrontierLogOptions log_options;
+  log_options.sync = false;
+  ASSERT_TRUE(FrontierLogWriter::Open(path, log_options, &log).ok());
+  HybridCrawler crawler;
+  CrawlOptions options;
+  options.frontier_log = log.get();
+  CrawlResult full = crawler.Crawl(&server, options);
+  ASSERT_TRUE(full.status.ok());
+  const std::string bytes = ReadWholeFile(path);
+
+  // One damaged byte inside round 3, which many later commits follow: a
+  // crash cannot produce it, so replay must refuse the log rather than
+  // stop there and silently drop every later committed round.
+  const size_t round3 = bytes.find("round 3\n");
+  ASSERT_NE(round3, std::string::npos);
+  const std::string damaged_lines[] = {"round 3\n", "queries ", "frontier ",
+                                       "commit 3\n"};
+  for (const std::string& target : damaged_lines) {
+    const size_t at = bytes.find(target, round3);
+    ASSERT_NE(at, std::string::npos) << target;
+    std::string corrupt = bytes;
+    corrupt[at + 1] = '#';
+    const std::string corrupt_path =
+        ::testing::TempDir() + "/hdc_flog_corrupt_cut.log";
+    std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
+    out << corrupt;
+    out.close();
+
+    const uint64_t line =
+        1 + static_cast<uint64_t>(
+                std::count(bytes.begin(), bytes.begin() + at, '\n'));
+    std::shared_ptr<CrawlState> replayed;
+    Status s = ReplayFrontierLog(corrupt_path, data.schema(), &replayed);
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument)
+        << target << ": " << s.ToString();
+    EXPECT_NE(s.message().find("line " + std::to_string(line) + ":"),
+              std::string::npos)
+        << target << ": " << s.ToString();
+  }
 }
 
 TEST(FrontierLogTest, RotationResnapshotsAndStaysReplayable) {

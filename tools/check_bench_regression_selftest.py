@@ -22,7 +22,12 @@ baseline/current directories and asserts each guard actually fires:
   7. a pushdown only 2x cheaper than crawl-then-filter trips the 3x
      planner floor;
   8. a planner run missing the pushdown row cannot evaluate the gate and
-     hard-fails instead of skipping it.
+     hard-fails instead of skipping it;
+  9. an untouched copy of the bench_index baseline passes the index floor;
+ 10. a bitmap wall only 10x faster than scan on conjunction-selective
+     trips the 24x index floor;
+ 11. an index run missing the scan or the bitmap row for that shape cannot
+     evaluate the floor and hard-fails instead of skipping it.
 
 Exit status: 0 when every expectation holds, 1 otherwise.
 """
@@ -48,6 +53,14 @@ plan,algorithm,selectivity,billed queries,extracted,wall_seconds
 filter,hybrid,0.033654,1086,69768,0.059794
 pushdown,hybrid,0.033654,95,2348,0.002506
 subspace,hybrid,0.033654,104,2348,0.001137
+"""
+
+BASELINE_INDEX_CSV = """\
+engine,shape,rows,queries,k,tuples,overflows,wall_seconds,qps_wall
+scan,cat-1pred,1000000,12,100,1200,12,0.124265,96.6
+scan,conjunction-selective,1000000,12,100,1200,12,0.159643,75.2
+bitmap,cat-1pred,1000000,12,100,1200,12,0.002008,5974.9
+bitmap,conjunction-selective,1000000,12,100,1200,12,0.004278,2804.9
 """
 
 
@@ -173,6 +186,41 @@ def main() -> int:
         expect("missing pushdown row hard-fails",
                code == 1 and "cannot evaluate the planner gate" in out, out,
                problems)
+
+        # 9. The index baseline (bitmap ~37x scan) passes the floor.
+        index_baseline = root / "index_baseline"
+        write(index_baseline / "bench_index.csv", BASELINE_INDEX_CSV)
+        current = root / "index_clean"
+        write(current / "bench_index.csv", BASELINE_INDEX_CSV)
+        code, out = run_gate(index_baseline, current)
+        expect("identical index run passes", code == 0, out, problems)
+
+        # 10. Bitmap only 10x faster than scan trips the 24x floor. Wall
+        #     cells only warn on drift, so the floor is what fails.
+        current = root / "index_below_floor"
+        write(current / "bench_index.csv", BASELINE_INDEX_CSV.replace(
+            "bitmap,conjunction-selective,1000000,12,100,1200,12,0.004278,",
+            "bitmap,conjunction-selective,1000000,12,100,1200,12,0.015964,"))
+        code, out = run_gate(index_baseline, current)
+        expect("below-floor index ratio hard-fails",
+               code == 1 and "faster than scan" in out, out, problems)
+
+        # 11. Without the scan or the bitmap row of the gated shape the
+        #     floor cannot be evaluated: a hard failure, not a skip. (Trim
+        #     both sides so the row-count check is not what fires.)
+        for engine in ("scan", "bitmap"):
+            trimmed_index = "\n".join(
+                line for line in BASELINE_INDEX_CSV.splitlines()
+                if not line.startswith(f"{engine},conjunction-selective,")
+            ) + "\n"
+            current = root / f"index_no_{engine}"
+            write(current / "bench_index.csv", trimmed_index)
+            trimmed_index_baseline = root / f"index_no_{engine}_baseline"
+            write(trimmed_index_baseline / "bench_index.csv", trimmed_index)
+            code, out = run_gate(trimmed_index_baseline, current)
+            expect(f"missing {engine} row hard-fails the index floor",
+                   code == 1 and "cannot evaluate the speedup gate" in out,
+                   out, problems)
 
     if problems:
         print(f"{len(problems)} selftest expectation(s) failed")
