@@ -26,6 +26,7 @@
 
 #include "core/checkpoint.h"
 #include "core/crawlers.h"
+#include "core/frontier_log.h"
 #include "data/csv_reader.h"
 #include "gen/adult_gen.h"
 #include "gen/nsf_gen.h"
@@ -197,7 +198,7 @@ int Run(const Flags& flags) {
       !flags.checkpoint.empty() && std::filesystem::exists(flags.checkpoint);
   if (have_checkpoint) {
     std::shared_ptr<CrawlState> state;
-    s = LoadCheckpointFile(flags.checkpoint, dataset->schema(), &state);
+    s = ReplayFrontierLog(flags.checkpoint, dataset->schema(), &state);
     if (!s.ok()) {
       std::fprintf(stderr, "error loading checkpoint: %s\n",
                    s.ToString().c_str());

@@ -6,8 +6,8 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "core/binary_shrink.h"
 #include "core/dfs_crawler.h"
@@ -56,36 +56,6 @@ Status ExpectTagged(const std::string& line, const std::string& tag,
                                    line + "'");
   }
   *rest = line.substr(tag.size() + 1);
-  return Status::OK();
-}
-
-Status ParseUint64Token(const std::string& s, uint64_t* out) {
-  uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (s.empty() || ec != std::errc() || ptr != s.data() + s.size()) {
-    return Status::InvalidArgument("malformed count '" + s + "'");
-  }
-  *out = v;
-  return Status::OK();
-}
-
-Status MakeCrawlStateForAlgorithm(const std::string& algorithm,
-                                  const SchemaPtr& schema,
-                                  std::shared_ptr<CrawlState>* out) {
-  if (algorithm == "binary-shrink") {
-    *out = std::make_shared<BinaryShrinkState>(schema);
-  } else if (algorithm == "rank-shrink") {
-    *out = std::make_shared<RankShrinkState>(schema);
-  } else if (algorithm == "dfs") {
-    *out = std::make_shared<DfsState>(schema);
-  } else if (algorithm == "slice-cover" || algorithm == "lazy-slice-cover" ||
-             algorithm == "hybrid") {
-    // The eager flag is restored by DecodeFrontier.
-    *out = std::make_shared<SliceEngineState>(schema, algorithm,
-                                              /*eager=*/false);
-  } else {
-    return Status::InvalidArgument("unknown algorithm '" + algorithm + "'");
-  }
   return Status::OK();
 }
 
@@ -239,6 +209,168 @@ Status SaveCheckpointFile(const CrawlState& state, const Schema& schema,
   return WriteFileDurably(path, out.str());
 }
 
+namespace {
+
+/// Strict full-match decimal parse; a typed error on anything else (the
+/// loader never throws on garbage counts).
+Status ParseUint64Token(const std::string& s, uint64_t* out) {
+  uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc() || ptr != s.data() + s.size()) {
+    return Status::InvalidArgument("malformed count '" + s + "'");
+  }
+  *out = v;
+  return Status::OK();
+}
+
+/// Fresh zero-progress CrawlState of the named crawler family, or an
+/// InvalidArgument for an unknown algorithm.
+Status MakeCrawlStateForAlgorithm(const std::string& algorithm,
+                                  const SchemaPtr& schema,
+                                  std::shared_ptr<CrawlState>* out) {
+  if (algorithm == "binary-shrink") {
+    *out = std::make_shared<BinaryShrinkState>(schema);
+  } else if (algorithm == "rank-shrink") {
+    *out = std::make_shared<RankShrinkState>(schema);
+  } else if (algorithm == "dfs") {
+    *out = std::make_shared<DfsState>(schema);
+  } else if (algorithm == "slice-cover" || algorithm == "lazy-slice-cover" ||
+             algorithm == "hybrid") {
+    // The eager flag is restored by DecodeFrontier.
+    *out = std::make_shared<SliceEngineState>(schema, algorithm,
+                                              /*eager=*/false);
+  } else {
+    return Status::InvalidArgument("unknown algorithm '" + algorithm + "'");
+  }
+  return Status::OK();
+}
+
+/// Reads the next line as "<tag> <rest>".
+Status NextTagged(CheckpointReader* in, const std::string& tag,
+                  std::string* rest) {
+  std::string line;
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  if (Status s = ExpectTagged(line, tag, rest); !s.ok()) {
+    return in->Error(s.message());
+  }
+  return Status::OK();
+}
+
+/// Reads the next line as "<tag> <count>".
+Status NextTaggedCount(CheckpointReader* in, const std::string& tag,
+                       uint64_t* count) {
+  std::string rest;
+  HDC_RETURN_IF_ERROR(NextTagged(in, tag, &rest));
+  if (Status s = ParseUint64Token(rest, count); !s.ok()) {
+    return in->Error(s.message());
+  }
+  return Status::OK();
+}
+
+/// Parses the next space-separated decimal token of `*text`, consuming it;
+/// false when no token is left or it is malformed.
+template <typename T>
+bool NextNumber(std::string_view* text, T* out) {
+  const size_t start = text->find_first_not_of(' ');
+  if (start == std::string_view::npos) return false;
+  const char* end = text->data() + text->size();
+  auto [ptr, ec] = std::from_chars(text->data() + start, end, *out);
+  if (ec != std::errc()) return false;
+  text->remove_prefix(static_cast<size_t>(ptr - text->data()));
+  return true;
+}
+
+/// Reads the next line as "seen <m> <m ids>", appending the ids to `ids`.
+/// The declared count is never trusted for an allocation: a count larger
+/// than the ids on the line fails at the first missing one.
+Status NextSeenIds(CheckpointReader* in, std::vector<uint64_t>* ids) {
+  std::string rest;
+  HDC_RETURN_IF_ERROR(NextTagged(in, "seen", &rest));
+  std::string_view tokens(rest);
+  uint64_t count = 0;
+  if (!NextNumber(&tokens, &count)) return in->Error("malformed seen line");
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t id = 0;
+    if (!NextNumber(&tokens, &id)) {
+      return in->Error("seen line truncated: expected " +
+                       std::to_string(count) + " row ids");
+    }
+    ids->push_back(id);
+  }
+  return Status::OK();
+}
+
+/// Reads tuple line `i` of `count`.
+Status NextTuple(CheckpointReader* in, size_t arity, uint64_t i,
+                 uint64_t count, Tuple* out) {
+  std::string line;
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  std::string_view tokens(line);
+  std::vector<Value> values(arity);
+  for (Value& v : values) {
+    if (!NextNumber(&tokens, &v)) {
+      return in->Error("tuple " + std::to_string(i + 1) + " of " +
+                       std::to_string(count) + ": malformed tuple");
+    }
+  }
+  *out = Tuple(std::move(values));
+  return Status::OK();
+}
+
+/// One round record, staged until its commit line checks out.
+struct RoundRecord {
+  uint64_t queries = 0;
+  uint64_t collected = 0;
+  std::vector<uint64_t> seen;
+  std::vector<Tuple> tuples;
+  uint64_t keep = 0;
+  std::vector<std::string> added;
+};
+
+/// Parses one complete round record. Any failure, running out of input
+/// included, is an InvalidArgument naming the line.
+Status ParseRound(CheckpointReader* in, size_t arity, size_t frontier_size,
+                  RoundRecord* round) {
+  uint64_t seq = 0;
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "round", &seq));
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "queries", &round->queries));
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "collected", &round->collected));
+  HDC_RETURN_IF_ERROR(NextSeenIds(in, &round->seen));
+  uint64_t tuple_count = 0;
+  HDC_RETURN_IF_ERROR(NextTaggedCount(in, "tuples", &tuple_count));
+  for (uint64_t i = 0; i < tuple_count; ++i) {
+    Tuple t;
+    HDC_RETURN_IF_ERROR(NextTuple(in, arity, i, tuple_count, &t));
+    round->tuples.push_back(std::move(t));
+  }
+
+  std::string rest;
+  HDC_RETURN_IF_ERROR(NextTagged(in, "frontier keep", &rest));
+  const std::string add_word = " add ";
+  const size_t split = rest.find(add_word);
+  uint64_t add = 0;
+  if (split == std::string::npos ||
+      !ParseUint64Token(rest.substr(0, split), &round->keep).ok() ||
+      !ParseUint64Token(rest.substr(split + add_word.size()), &add).ok() ||
+      round->keep > frontier_size) {
+    return in->Error("malformed frontier delta 'frontier keep " + rest + "'");
+  }
+  std::string line;
+  for (uint64_t i = 0; i < add; ++i) {
+    HDC_RETURN_IF_ERROR(in->Next(&line));
+    round->added.push_back(line);
+  }
+
+  const std::string commit = "commit " + std::to_string(seq);
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  if (line != commit) {
+    return in->Error("expected '" + commit + "', got '" + line + "'");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
                       std::shared_ptr<CrawlState>* out) {
   if (in == nullptr || schema == nullptr || out == nullptr) {
@@ -248,6 +380,20 @@ Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
   std::string line, rest;
 
   HDC_RETURN_IF_ERROR(reader.Next(&line));
+  // Frontier logs written before checkpoints and logs shared one format
+  // wrap the snapshot; skip the wrapper and read the rest unchanged.
+  const bool legacy_log = line.rfind("hdc-frontier-log ", 0) == 0;
+  if (legacy_log) {
+    if (line != "hdc-frontier-log 1") {
+      return Status::NotSupported("unsupported frontier log version '" +
+                                  line + "'");
+    }
+    HDC_RETURN_IF_ERROR(reader.Next(&line));
+    if (line != "snapshot-begin") {
+      return reader.Error("expected snapshot-begin, got '" + line + "'");
+    }
+    HDC_RETURN_IF_ERROR(reader.Next(&line));
+  }
   int version = 0;
   {
     std::istringstream header(line);
@@ -262,16 +408,9 @@ Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
     }
   }
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "algorithm", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  const std::string algorithm = rest;
-
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "schema", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
+  std::string algorithm;
+  HDC_RETURN_IF_ERROR(NextTagged(&reader, "algorithm", &algorithm));
+  HDC_RETURN_IF_ERROR(NextTagged(&reader, "schema", &rest));
   if (version < 2 && rest.find('\\') != std::string::npos) {
     // Version 1 predates token escaping: a backslash in its schema spec
     // could be either a literal character or an (impossible then) escape.
@@ -305,83 +444,83 @@ Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
     return reader.Error(s.message());
   }
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "queries", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  if (Status s = ParseUint64Token(rest, &state->queries_issued); !s.ok()) {
-    return reader.Error(s.message());
-  }
-
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "seen", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  {
-    std::istringstream tokens(rest);
-    uint64_t count = 0;
-    if (!(tokens >> count)) {
-      return reader.Error("malformed seen line");
-    }
-    state->seen_rows.reserve(count * 2);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id;
-      if (!(tokens >> id)) {
-        return reader.Error("seen line truncated: expected " +
-                            std::to_string(count) + " row ids");
-      }
-      state->seen_rows.insert(id);
-    }
-  }
-
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "extracted", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
+  HDC_RETURN_IF_ERROR(
+      NextTaggedCount(&reader, "queries", &state->queries_issued));
+  std::vector<uint64_t> seen;
+  HDC_RETURN_IF_ERROR(NextSeenIds(&reader, &seen));
+  state->seen_rows.insert(seen.begin(), seen.end());
   uint64_t extracted_count = 0;
-  if (Status s = ParseUint64Token(rest, &extracted_count); !s.ok()) {
-    return reader.Error(s.message());
-  }
+  HDC_RETURN_IF_ERROR(NextTaggedCount(&reader, "extracted", &extracted_count));
   const size_t arity = schema->num_attributes();
   for (uint64_t i = 0; i < extracted_count; ++i) {
-    HDC_RETURN_IF_ERROR(reader.Next(&line));
-    std::istringstream tokens(line);
     Tuple t;
-    if (Status s = DecodeTupleTokens(&tokens, arity, &t); !s.ok()) {
-      return reader.Error("tuple " + std::to_string(i + 1) + " of " +
-                          std::to_string(extracted_count) + ": " +
-                          s.message());
-    }
+    HDC_RETURN_IF_ERROR(NextTuple(&reader, arity, i, extracted_count, &t));
     state->extracted.AddUnchecked(std::move(t));
   }
-  HDC_RETURN_IF_ERROR(state->extracted.Validate());
   state->tuples_collected = extracted_count;
-
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
   if (version >= 2) {
-    if (Status s = ExpectTagged(line, "collected", &rest); !s.ok()) {
-      return reader.Error(s.message());
-    }
-    if (Status s = ParseUint64Token(rest, &state->tuples_collected);
-        !s.ok()) {
-      return reader.Error(s.message());
-    }
-    HDC_RETURN_IF_ERROR(reader.Next(&line));
+    HDC_RETURN_IF_ERROR(
+        NextTaggedCount(&reader, "collected", &state->tuples_collected));
   }
+
+  // The frontier stays raw lines until every round's keep/add edit is in.
+  HDC_RETURN_IF_ERROR(reader.Next(&line));
   if (line != "frontier-begin") {
     return reader.Error("expected frontier-begin, got '" + line + "'");
   }
-  HDC_RETURN_IF_ERROR(state->DecodeFrontier(&reader));
+  const uint64_t frontier_begin = reader.line_number();
+  std::vector<std::string> frontier;
+  while (true) {
+    HDC_RETURN_IF_ERROR(reader.Next(&line));
+    if (line == "frontier-end") break;
+    frontier.push_back(line);
+  }
+  if (legacy_log) {
+    HDC_RETURN_IF_ERROR(reader.Next(&line));
+    if (line != "snapshot-end") {
+      return reader.Error("expected snapshot-end, got '" + line + "'");
+    }
+  }
+
+  // A crash tears only the last append, so a record that fails on the
+  // final line of input — cut short, or with a partial last line — is a
+  // torn tail and is dropped. A failure with more input after it is damage
+  // to a committed record: the InvalidArgument naming the line.
+  uint64_t rounds = 0;
+  while (!reader.AtEnd()) {
+    RoundRecord round;
+    if (Status s = ParseRound(&reader, arity, frontier.size(), &round);
+        !s.ok()) {
+      if (reader.AtEnd()) break;
+      return s;
+    }
+    state->queries_issued = round.queries;
+    state->tuples_collected = round.collected;
+    state->seen_rows.insert(round.seen.begin(), round.seen.end());
+    for (Tuple& t : round.tuples) state->extracted.AddUnchecked(std::move(t));
+    frontier.resize(round.keep);
+    for (std::string& f : round.added) frontier.push_back(std::move(f));
+    ++rounds;
+  }
+  HDC_RETURN_IF_ERROR(state->extracted.Validate());
+
+  std::string frontier_text;
+  for (const std::string& f : frontier) frontier_text.append(f) += '\n';
+  frontier_text += "frontier-end\n";
+  std::istringstream frontier_in(frontier_text);
+  // Without round records the frontier lines are the file's own, so errors
+  // name the file's line; after edits they count from the first frontier
+  // line.
+  CheckpointReader frontier_reader(&frontier_in,
+                                   rounds == 0 ? frontier_begin : 0);
+  if (Status s = state->DecodeFrontier(&frontier_reader); !s.ok()) {
+    if (rounds == 0) return s;
+    return Status::InvalidArgument("frontier rebuilt from round records: " +
+                                   s.message());
+  }
 
   *out = std::move(state);
   return Status::OK();
-}
-
-Status LoadCheckpointFile(const std::string& path, SchemaPtr schema,
-                          std::shared_ptr<CrawlState>* out) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  return LoadCheckpoint(&in, std::move(schema), out);
 }
 
 }  // namespace hdc

@@ -2,41 +2,20 @@
 //
 // Write-ahead frontier log: crash-safe durability for long crawls.
 //
-// A checkpoint file (core/checkpoint.h) is a full snapshot — fine to write
-// every few minutes, far too expensive to write every round. The frontier
-// log generalizes it into an append-only WAL: one durable *delta* per round
-// boundary, with periodic snapshot compaction. A process SIGKILLed mid-crawl
-// replays the log and resumes from the last committed round.
-//
-// On-disk format (text, one record per round):
-//
-//   hdc-frontier-log 1
-//   snapshot-begin
-//   <full checkpoint payload — see core/checkpoint.h>
-//   snapshot-end
-//   round <seq>
-//   queries <cumulative>
-//   collected <cumulative>
-//   seen <m> <row ids newly seen since the previous commit>
-//   tuples <m>
-//   <m tuple lines>
-//   frontier keep <K> add <M>
-//   <M frontier lines>
-//   commit <seq>
-//   ...
-//
-// The frontier delta is a longest-common-prefix diff against the previously
-// committed frontier encoding: keep the first K lines, append M new ones.
-// Crawlers treat the frontier as a stack (pop from the back), so each round
-// touches only the tail and deltas stay small.
+// A checkpoint (core/checkpoint.h) is a full snapshot — fine to write every
+// few minutes, far too expensive to write every round. The frontier log is
+// that checkpoint followed by one durable round record per round boundary,
+// with periodic snapshot compaction; the format is described once, in
+// core/checkpoint.h. A process SIGKILLed mid-crawl replays the log and
+// resumes from the last committed round.
 //
 // Durability protocol: each commit is appended with a single write() and
-// (when FrontierLogOptions::sync) fsync'd before Commit() returns. The
-// snapshot segment is replaced via WriteFileDurably (temp file + fsync +
-// rename), so the log is never in a torn state at a segment boundary. On
-// replay, a trailing record without its matching `commit <seq>` line is a
-// torn tail from the crash and is discarded silently; everything up to the
-// last commit is applied.
+// (when FrontierLogOptions::sync) fsync'd before Commit() returns. A
+// snapshot replaces the whole log via SaveCheckpointFile (temp file + fsync
+// + rename), so a crash can tear only the appended tail, which replay
+// discards. A commit whose append fails leaves the log to be rewritten as
+// a snapshot by the next commit, so a partial record is never followed by
+// a later one.
 //
 // Billing guarantee: CrawlContext commits at the *top* of each round —
 // commit N captures the state produced by rounds 1..N-1 and happens-before
@@ -134,12 +113,11 @@ class FrontierLogWriter {
   std::vector<std::string> pending_tuples_;
 };
 
-/// Replays a frontier log into a resumable CrawlState: applies every
-/// complete round record on top of the snapshot, silently discarding a torn
-/// tail. NotFound when `path` does not exist (a fresh run, not an error).
-/// Corruption *before* the tail — a record that fails to parse on a line
-/// with more input after it — is a typed InvalidArgument naming the
-/// offending line.
+/// Loads the frontier log or checkpoint file at `path` (LoadCheckpoint):
+/// the snapshot plus every complete round record, with a torn tail
+/// discarded. NotFound when `path` does not exist (a fresh run, not an
+/// error). Corruption *before* the tail is a typed InvalidArgument naming
+/// the offending line.
 Status ReplayFrontierLog(const std::string& path, SchemaPtr schema,
                          std::shared_ptr<CrawlState>* out);
 

@@ -493,7 +493,6 @@ Status SliceEngineState::DecodeFrontier(CheckpointReader* in) {
         }
         entry.state = SliceEntry::State::kResolved;
         entry.bag.clear();
-        entry.bag.reserve(count);
         for (size_t i = 0; i < count; ++i) {
           HDC_RETURN_IF_ERROR(in->Next(&line));
           std::istringstream bag_tokens(line);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,6 +22,7 @@
 #include <string>
 
 #include "core/crawlers.h"
+#include "core/frontier_log.h"
 #include "gen/synthetic.h"
 #include "server/local_server.h"
 #include "util/macros.h"
@@ -88,7 +90,7 @@ TEST(CheckpointDurabilityTest, PriorCheckpointSurvivesTornOverwrite) {
     // The crash leaves the partial new bytes only in the temp file.
     WriteRaw(path + ".tmp", b.serialized.substr(0, offset));
     std::shared_ptr<CrawlState> restored;
-    ASSERT_TRUE(LoadCheckpointFile(path, a.data->schema(), &restored).ok())
+    ASSERT_TRUE(ReplayFrontierLog(path, a.data->schema(), &restored).ok())
         << "prior checkpoint lost after torn write at offset " << offset;
     ASSERT_NE(restored, nullptr);
     EXPECT_EQ(restored->queries_issued, a.state->queries_issued);
@@ -100,7 +102,7 @@ TEST(CheckpointDurabilityTest, PriorCheckpointSurvivesTornOverwrite) {
   ASSERT_TRUE(SaveCheckpointFile(*b.state, *b.data->schema(), path).ok());
   EXPECT_EQ(ReadWholeFile(path), b.serialized);
   std::shared_ptr<CrawlState> restored;
-  ASSERT_TRUE(LoadCheckpointFile(path, b.data->schema(), &restored).ok());
+  ASSERT_TRUE(ReplayFrontierLog(path, b.data->schema(), &restored).ok());
   EXPECT_EQ(restored->queries_issued, b.state->queries_issued);
 }
 
@@ -176,10 +178,80 @@ TEST(CheckpointDurabilityTest, TruncationErrorsNameTheLine) {
 TEST(CheckpointDurabilityTest, MissingFileIsNotFound) {
   Fixture f = MakeFixture(54, 9);
   std::shared_ptr<CrawlState> restored;
-  Status s = LoadCheckpointFile(::testing::TempDir() + "/hdc_no_such_ckpt",
-                                f.data->schema(), &restored);
+  Status s = ReplayFrontierLog(::testing::TempDir() + "/hdc_no_such_ckpt",
+                               f.data->schema(), &restored);
   EXPECT_EQ(s.code(), Status::Code::kNotFound) << s.ToString();
   EXPECT_EQ(restored, nullptr);
+}
+
+// The frontier is decoded after the rest of the file, from its collected
+// lines; an error in it still names the file's own line.
+TEST(CheckpointDurabilityTest, FrontierErrorsNameTheFileLine) {
+  Fixture f = MakeFixture(56, 12);
+  std::string text = f.serialized;
+  const size_t at = text.find("\nitem ") + 1;
+  ASSERT_NE(at, 0u);
+  text[at] = '#';
+  const size_t line = 1 + std::count(text.begin(), text.begin() + at, '\n');
+  std::istringstream in(text);
+  std::shared_ptr<CrawlState> restored;
+  Status s = LoadCheckpoint(&in, f.data->schema(), &restored);
+  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find("line " + std::to_string(line) + ":"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(restored, nullptr);
+}
+
+// A declared count is input, not a size to allocate: an absurd one is a
+// typed error naming a line, never an allocation failure that aborts.
+TEST(CheckpointDurabilityTest, HugeDeclaredCountsAreTypedErrors) {
+  Fixture f = MakeFixture(55, 12);
+  const std::string huge = "4611686018427387904";  // 2^62
+  auto line_of = [](const std::string& text, size_t at) {
+    return 1 + std::count(text.begin(), text.begin() + at, '\n');
+  };
+
+  {  // A checkpoint's seen count: the seen line itself is at fault.
+    std::string text = f.serialized;
+    const size_t at = text.find("\nseen ") + 1;
+    text.replace(at, text.find('\n', at) - at, "seen " + huge + " 1");
+    std::istringstream in(text);
+    std::shared_ptr<CrawlState> restored;
+    Status s = LoadCheckpoint(&in, f.data->schema(), &restored);
+    ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("line " + std::to_string(line_of(text, at)) +
+                               ":"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(restored, nullptr);
+  }
+
+  {  // A frontier log's extracted count: the first line after the real
+     // tuples is not a tuple.
+    const std::string path = ::testing::TempDir() + "/hdc_huge_count.log";
+    std::remove(path.c_str());
+    std::unique_ptr<FrontierLogWriter> log;
+    FrontierLogOptions log_options;
+    log_options.sync = false;
+    ASSERT_TRUE(FrontierLogWriter::Open(path, log_options, &log).ok());
+    ASSERT_TRUE(log->Commit(*f.state).ok());
+    std::string text = ReadWholeFile(path);
+    const size_t at = text.find("\nextracted ") + 1;
+    const size_t end = text.find('\n', at);
+    text.replace(at, end - at, "extracted " + huge);
+    WriteRaw(path, text);
+    const size_t first_non_tuple =
+        line_of(text, at) + 1 + f.state->extracted.size();
+    std::shared_ptr<CrawlState> restored;
+    Status s = ReplayFrontierLog(path, f.data->schema(), &restored);
+    ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("line " + std::to_string(first_non_tuple) +
+                               ":"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(restored, nullptr);
+  }
 }
 
 }  // namespace

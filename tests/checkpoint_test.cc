@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "core/crawlers.h"
+#include "core/frontier_log.h"
 #include "gen/synthetic.h"
 #include "server/decorators.h"
 #include "server/local_server.h"
@@ -155,7 +156,7 @@ TEST(CheckpointTest, FileRoundTrip) {
   ASSERT_TRUE(
       SaveCheckpointFile(*partial.resume_state, *data->schema(), path).ok());
   std::shared_ptr<CrawlState> restored;
-  ASSERT_TRUE(LoadCheckpointFile(path, data->schema(), &restored).ok());
+  ASSERT_TRUE(ReplayFrontierLog(path, data->schema(), &restored).ok());
   CrawlResult done = crawler.Resume(&server, restored);
   ASSERT_TRUE(done.status.ok());
   EXPECT_TRUE(Dataset::MultisetEquals(done.extracted, *data));
